@@ -1,91 +1,66 @@
-// Command modelinfo inspects a persisted prediction model: node and
-// leaf counts, depth histogram, memory estimate, and the hottest
-// branches. Models are written with the Encode methods of the pb, ppm,
-// and lrs model types (see cmd/prefetchsim and the library API).
+// Command modelinfo inspects a saved prediction model: a snapshot
+// envelope as written by prefetchsim -save-model or served by a
+// publisher's /snapshot endpoint. It prints the envelope version, the
+// model kind, node and leaf counts, depth histogram, memory estimate,
+// the ranking's size, and the hottest root branches.
 //
 // Usage:
 //
-//	modelinfo -type pb|ppm|lrs model.bin
+//	modelinfo [-top N] model.snap
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"pbppm/internal/core"
-	"pbppm/internal/lrs"
+	// The model packages register their snapshot decoders in init.
+	_ "pbppm/internal/core"
+	"pbppm/internal/maintain"
 	"pbppm/internal/markov"
-	"pbppm/internal/popularity"
-	"pbppm/internal/ppm"
+	_ "pbppm/internal/ppm"
 )
 
 func main() {
-	modelType := flag.String("type", "pb", "model type: pb, ppm, or lrs")
 	top := flag.Int("top", 10, "hot branches to list")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: modelinfo -type pb|ppm|lrs model.bin")
+		fmt.Fprintln(os.Stderr, "usage: modelinfo [-top N] model.snap")
 		os.Exit(2)
 	}
-	f, err := os.Open(flag.Arg(0))
-	if err != nil {
+	if err := run(flag.Arg(0), *top, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "modelinfo: %v\n", err)
 		os.Exit(1)
 	}
-	defer f.Close()
-
-	// Decode to the common Predictor interface; everything below goes
-	// through markov.StatsOf / markov.TreeHolder so model statistics
-	// have a single implementation shared with the benchmark artifacts
-	// and the server's model-health gauges.
-	var pred markov.Predictor
-	var extra string
-	switch *modelType {
-	case "pb":
-		// Grades are not persisted with the model; an empty ranking is
-		// enough for inspection (grades only matter for training).
-		m, err := core.DecodeModel(f, popularity.NewRanking())
-		if err != nil {
-			fatal(err)
-		}
-		pred = m
-		extra = fmt.Sprintf("duplicated links: %d\n", m.LinkCount())
-	case "ppm":
-		m, err := ppm.DecodeModel(f)
-		if err != nil {
-			fatal(err)
-		}
-		pred = m
-		extra = fmt.Sprintf("model: %s\n", m.Name())
-	case "lrs":
-		m, err := lrs.DecodeModel(f)
-		if err != nil {
-			fatal(err)
-		}
-		pred = m
-		extra = fmt.Sprintf("repeating patterns: %d\n", len(m.Patterns()))
-	default:
-		fmt.Fprintf(os.Stderr, "modelinfo: unknown type %q\n", *modelType)
-		os.Exit(2)
-	}
-
-	st, ok := markov.StatsOf(pred)
-	if !ok {
-		fatal(fmt.Errorf("model %s exposes no prediction tree", pred.Name()))
-	}
-	fmt.Printf("%s (%s)\n", flag.Arg(0), *modelType)
-	fmt.Print(st)
-	fmt.Print(extra)
-	if *top > 0 {
-		fmt.Println("hot branches:")
-		for _, b := range pred.(markov.TreeHolder).Tree().TopBranches(*top) {
-			fmt.Printf("  %-40s %.3f\n", b.URL, b.Probability)
-		}
-	}
 }
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "modelinfo: %v\n", err)
-	os.Exit(1)
+// run decodes the envelope at path and writes its report to w. Model
+// statistics go through markov.StatsOf, the implementation shared with
+// the benchmark artifacts and the server's model-health gauges.
+func run(path string, top int, w io.Writer) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	snap, err := maintain.DecodeSnapshot(data)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%s: snapshot version %d, kind %s, model %s\n", path, snap.Version, snap.Kind, snap.Model.Name())
+	st, ok := markov.StatsOf(snap.Model)
+	if !ok {
+		return fmt.Errorf("model %s exposes no prediction arena", snap.Model.Name())
+	}
+	fmt.Fprint(w, st)
+	if snap.Ranking != nil {
+		fmt.Fprintf(w, "ranking: %d URLs\n", snap.Ranking.Len())
+	}
+	if ah, ok := snap.Model.(markov.ArenaHolder); ok && top > 0 {
+		fmt.Fprintln(w, "hot branches:")
+		for _, b := range ah.Arena().TopBranches(top) {
+			fmt.Fprintf(w, "  %-40s %.3f\n", b.URL, b.Probability)
+		}
+	}
+	return nil
 }

@@ -30,7 +30,6 @@ type appConfig struct {
 	addr        string
 	adminAddr   string
 	profileName string
-	rebuild     time.Duration
 	deltaEvery  time.Duration
 	compactNear time.Duration
 	traceSample int
@@ -140,6 +139,9 @@ func loadObjectives(cfg appConfig) ([]obs.Objective, error) {
 func newApp(cfg appConfig, logger *slog.Logger) (*app, error) {
 	if cfg.warmDays <= 0 {
 		cfg.warmDays = 3
+	}
+	if cfg.compactNear <= 0 {
+		return nil, fmt.Errorf("compact interval %v must be positive", cfg.compactNear)
 	}
 	a := &app{cfg: cfg, log: obs.Component(logger, "prefetchd")}
 
@@ -403,7 +405,7 @@ func (a *app) run(ctx context.Context) error {
 	a.log.Info("serving", "pages", a.pages, "addr", a.webLn.Addr().String(),
 		"profile", a.profile.Name, "shards", shards,
 		"delta_interval", a.cfg.deltaEvery,
-		"compact_interval", a.cfg.compactNear, "rebuild", a.cfg.rebuild)
+		"compact_interval", a.cfg.compactNear)
 	if a.adminLn != nil {
 		go func() { errs <- a.admin.Serve(a.adminLn) }()
 		a.log.Info("admin listening", "addr", a.adminLn.Addr().String())
@@ -467,10 +469,9 @@ func (a *app) logFinal() {
 	}
 }
 
-// maintLoop runs model maintenance until ctx is cancelled. With
-// delta-interval > 0 it runs the incremental schedule (delta merges
-// every delta, compactions every compact); otherwise the legacy
-// rebuild-only loop. Published models reach the server through
+// maintLoop runs model maintenance until ctx is cancelled: a delta
+// merge every delta-interval (zero disables them) and a compaction
+// every compact-interval. Published models reach the server through
 // maintain.Config.OnPublish. Client-context expiry runs on its own
 // ticker so session trimming never waits behind a long compaction.
 func (a *app) maintLoop(ctx context.Context) {
@@ -482,7 +483,7 @@ func (a *app) maintLoop(ctx context.Context) {
 
 	expireEvery := a.cfg.deltaEvery
 	if expireEvery <= 0 {
-		expireEvery = a.cfg.rebuild
+		expireEvery = a.cfg.compactNear
 	}
 	go func() {
 		ticker := time.NewTicker(expireEvery)
@@ -503,11 +504,7 @@ func (a *app) maintLoop(ctx context.Context) {
 		a.fol.Run(ctx)
 		return
 	}
-	if a.cfg.deltaEvery > 0 {
-		a.maint.RunIncremental(a.cfg.deltaEvery, a.cfg.compactNear, stop)
-		return
-	}
-	a.maint.Run(a.cfg.rebuild, stop)
+	a.maint.RunIncremental(a.cfg.deltaEvery, a.cfg.compactNear, stop)
 }
 
 // writeStats renders the plain-text stats snapshot for /debug/stats.

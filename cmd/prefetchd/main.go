@@ -4,15 +4,14 @@
 // learning from live traffic. Maintenance is incremental: sessions
 // observed since the last update are delta-merged into the live model
 // every -delta-interval, and a full compaction (window trim, popularity
-// re-ranking, from-scratch retrain) runs every -compact-interval. The
-// legacy -rebuild flag still selects a rebuild-only loop when the
-// incremental intervals are zeroed.
+// re-ranking, from-scratch retrain) runs every -compact-interval.
+// -delta-interval 0 leaves only the compactions.
 //
 // Usage:
 //
 //	prefetchd [-addr :8080] [-admin-addr :8081] [-profile nasa|ucbcs]
 //	          [-delta-interval 1m] [-compact-interval 30m]
-//	          [-rebuild 10m] [-trace-sample N] [-log-level info]
+//	          [-trace-sample N] [-log-level info]
 //	          [-slo "name=...,kind=...,target=..."] [-slo-file path]
 //	          [-live-window 5m] [-warm-days 3]
 //	          [-pages N] [-sessions-per-day N] [-max-hints N]
@@ -81,9 +80,8 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":8080", "serving listen address")
 	flag.StringVar(&cfg.adminAddr, "admin-addr", ":8081", "admin listen address for /metrics, /healthz, /debug; empty disables")
 	flag.StringVar(&cfg.profileName, "profile", "nasa", "site profile: nasa or ucbcs")
-	flag.DurationVar(&cfg.rebuild, "rebuild", 10*time.Minute, "legacy rebuild-only interval, used when -delta-interval is 0")
-	flag.DurationVar(&cfg.deltaEvery, "delta-interval", time.Minute, "incremental delta-merge interval (0 disables incremental maintenance)")
-	flag.DurationVar(&cfg.compactNear, "compact-interval", 30*time.Minute, "full compaction interval for incremental maintenance")
+	flag.DurationVar(&cfg.deltaEvery, "delta-interval", time.Minute, "incremental delta-merge interval (0 = compactions only)")
+	flag.DurationVar(&cfg.compactNear, "compact-interval", 30*time.Minute, "full compaction (rebuild) interval")
 	flag.IntVar(&cfg.traceSample, "trace-sample", 0, "sample 1 in N demand requests for predict-path tracing (0 = off)")
 	flag.StringVar(&cfg.slo, "slo", defaultSLO, "service objectives: ';'-separated key=value lists (kind=latency|precision|hit_ratio)")
 	flag.StringVar(&cfg.sloFile, "slo-file", "", "file of objectives, one per line, same grammar as -slo; overrides -slo")

@@ -41,7 +41,6 @@ func testConfig() appConfig {
 		addr:        "127.0.0.1:0",
 		adminAddr:   "127.0.0.1:0",
 		profileName: "nasa",
-		rebuild:     time.Minute,
 		deltaEvery:  50 * time.Millisecond,
 		compactNear: time.Minute,
 		traceSample: 1,

@@ -19,9 +19,11 @@ import (
 	"pbppm/internal/core"
 	"pbppm/internal/experiments"
 	"pbppm/internal/lrs"
+	"pbppm/internal/maintain"
 	"pbppm/internal/markov"
 	"pbppm/internal/metrics"
 	"pbppm/internal/obs"
+	"pbppm/internal/popularity"
 	"pbppm/internal/ppm"
 	"pbppm/internal/sim"
 	"pbppm/internal/topn"
@@ -43,7 +45,7 @@ func realMain() int {
 		threshold   = flag.Float64("threshold", 0, "prediction probability threshold (0 = paper's 0.25)")
 		maxPrefetch = flag.Int64("max-prefetch", 0, "prefetch size cap in bytes (0 = paper default per model)")
 		useProxy    = flag.Bool("proxy", false, "interpose a shared 16 GB proxy cache")
-		saveModel   = flag.String("save-model", "", "write the trained model to this file (inspect with modelinfo)")
+		saveModel   = flag.String("save-model", "", "write the frozen model as a snapshot envelope to this file (inspect with modelinfo)")
 		progress    = flag.Int("progress", 0, "log replay progress every N events (0 = silent)")
 	)
 	var prof obs.ProfileFlags
@@ -119,7 +121,12 @@ func realMain() int {
 	trainTime := time.Since(start)
 
 	if *saveModel != "" && pred != nil {
-		if err := persistModel(*saveModel, pred); err != nil {
+		// PB-PPM grades by the training ranking; it travels with the model.
+		var saveRank *popularity.Ranking
+		if *modelName == "pb" {
+			saveRank = rank
+		}
+		if err := persistModel(*saveModel, pred, saveRank); err != nil {
 			fmt.Fprintf(os.Stderr, "prefetchsim: %v\n", err)
 			return 1
 		}
@@ -183,23 +190,27 @@ func realMain() int {
 	return 0
 }
 
-// persistModel writes the trained model for later inspection.
-func persistModel(path string, pred markov.Predictor) error {
+// persistModel freezes the trained model and writes it, with rank when
+// non-nil, as a snapshot envelope: the format a publisher serves and
+// modelinfo reads.
+func persistModel(path string, pred markov.Predictor, rank *popularity.Ranking) error {
+	fz, ok := pred.(markov.Freezer)
+	if !ok {
+		return fmt.Errorf("model %s cannot freeze, so it has no saved form", pred.Name())
+	}
+	enc, ok := fz.Freeze().(markov.FrozenEncoder)
+	if !ok {
+		return fmt.Errorf("frozen model %s has no wire form", pred.Name())
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	switch m := pred.(type) {
-	case *core.Model:
-		return m.Encode(f)
-	case *ppm.Model:
-		return m.Encode(f)
-	case *lrs.Model:
-		return m.Encode(f)
-	default:
-		return fmt.Errorf("model %s does not support persistence", pred.Name())
+	if err := maintain.EncodeSnapshot(f, 1, enc, rank); err != nil {
+		f.Close()
+		return err
 	}
+	return f.Close()
 }
 
 // loadWorkload reads a CLF file or generates the named profile.

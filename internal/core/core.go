@@ -388,7 +388,7 @@ func (f *Frozen) TrainSequence([]string) {
 // plus rule-3 links), the paper's space metric.
 func (f *Frozen) NodeCount() int { return f.nodeCount }
 
-// Arena exposes the snapshot for stats and persistence.
+// Arena exposes the snapshot for stats and its wire form.
 func (f *Frozen) Arena() *markov.Arena { return f.arena }
 
 // Predict mirrors Model.Predict on the arena.

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
+	"sort"
 
 	"pbppm/internal/markov"
 )
@@ -14,69 +13,88 @@ import (
 // envelopes.
 const FrozenKind = "core/pbppm"
 
-// wireFrozen is the gob image of a Frozen model: everything serving
-// needs — the arena verbatim, the precomputed rule-3 link predictions,
-// the freeze-time node count (the paper's space metric, which counts
-// links the threshold already removed from the table below), and the
-// threshold itself. The popularity ranking is deliberately not part of
-// the model image; the snapshot envelope carries it beside the model so
-// hint grading travels with the predictor (see maintain's snapshot
-// wire format).
-type wireFrozen struct {
-	Name      string
-	Threshold float64
-	NodeCount int
-	Links     map[string][]markov.Prediction
-	Arena     []byte
-}
-
 var _ markov.FrozenEncoder = (*Frozen)(nil)
 
 // FrozenKind implements markov.FrozenEncoder.
 func (f *Frozen) FrozenKind() string { return FrozenKind }
 
-// EncodeFrozen implements markov.FrozenEncoder.
+// EncodeFrozen implements markov.FrozenEncoder. The image holds
+// everything serving needs: the name, the threshold, the freeze-time
+// node count (the paper's space metric, which counts links the
+// threshold already removed from the table below), the precomputed
+// rule-3 link predictions in heading-URL order, and the arena
+// verbatim. The popularity ranking is deliberately not part of the
+// model image; the snapshot envelope carries it beside the model so
+// hint grading travels with the predictor (see maintain's snapshot
+// wire format).
 func (f *Frozen) EncodeFrozen(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	img := wireFrozen{
-		Name:      f.name,
-		Threshold: f.threshold,
-		NodeCount: f.nodeCount,
-		Links:     f.links,
-		Arena:     f.arena.Bytes(),
+	var e markov.WireWriter
+	e.String(f.name)
+	e.Float64(f.threshold)
+	e.Int64(int64(f.nodeCount))
+	heads := make([]string, 0, len(f.links))
+	for url := range f.links {
+		heads = append(heads, url)
 	}
-	if err := gob.NewEncoder(bw).Encode(img); err != nil {
-		return fmt.Errorf("core: encoding frozen model: %w", err)
+	sort.Strings(heads)
+	e.Uint32(uint32(len(heads)))
+	for _, url := range heads {
+		e.String(url)
+		linked := f.links[url]
+		e.Uint32(uint32(len(linked)))
+		for _, p := range linked {
+			e.String(p.URL)
+			e.Float64(p.Probability)
+			e.Uint32(uint32(p.Order))
+		}
 	}
-	return bw.Flush()
+	e.Arena(f.arena)
+	_, err := e.WriteTo(w)
+	return err
 }
 
+// Smallest encodings of a link-table entry and of one linked
+// prediction, bounding the counts a decoder accepts.
+const (
+	minLinkEntry = 4 + 4
+	minLinked    = 4 + 8 + 4
+)
+
 func init() {
-	markov.RegisterFrozenDecoder(FrozenKind, func(r io.Reader) (markov.Predictor, error) {
-		var img wireFrozen
-		if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&img); err != nil {
-			return nil, fmt.Errorf("core: decoding frozen model: %w", err)
+	markov.RegisterFrozenDecoder(FrozenKind, func(data []byte) (markov.Predictor, error) {
+		r := markov.NewWireReader(data)
+		f := &Frozen{name: r.String(), threshold: r.Float64()}
+		if n := r.Int64(); n < 0 {
+			r.Fail("negative node count %d", n)
+		} else {
+			f.nodeCount = int(n)
 		}
-		a, err := markov.ArenaFromBytes(img.Arena)
-		if err != nil {
-			return nil, fmt.Errorf("core: decoding frozen model: %w", err)
-		}
-		if img.NodeCount < 0 {
-			return nil, fmt.Errorf("core: decoding frozen model: negative node count %d", img.NodeCount)
-		}
-		for url, linked := range img.Links {
-			for _, p := range linked {
-				if p.URL == "" || math.IsNaN(p.Probability) || p.Probability < 0 {
-					return nil, fmt.Errorf("core: decoding frozen model: corrupt link candidate %+v under %q", p, url)
-				}
+		heads := r.Count(minLinkEntry)
+		f.links = make(map[string][]markov.Prediction, heads)
+		prev := ""
+		for i := 0; i < heads && r.Err() == nil; i++ {
+			head := r.String()
+			if i > 0 && head <= prev {
+				r.Fail("link heading %q out of order", head)
 			}
+			prev = head
+			linked := make([]markov.Prediction, r.Count(minLinked))
+			if len(linked) == 0 {
+				r.Fail("empty link list under %q", head)
+			}
+			for j := range linked {
+				p := markov.Prediction{URL: r.String(), Probability: r.Float64(), Order: int(r.Uint32())}
+				if r.Err() == nil && (p.URL == "" || math.IsNaN(p.Probability) || p.Probability < 0) {
+					r.Fail("corrupt link candidate %+v under %q", p, head)
+				}
+				linked[j] = p
+			}
+			f.links[head] = linked
 		}
-		return &Frozen{
-			name:      img.Name,
-			arena:     a,
-			threshold: img.Threshold,
-			nodeCount: img.NodeCount,
-			links:     img.Links,
-		}, nil
+		f.arena = r.Arena()
+		if err := r.Close(); err != nil {
+			return nil, fmt.Errorf("core: decoding frozen model: %w", err)
+		}
+		return f, nil
 	})
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -28,7 +30,7 @@ func TestFrozenSnapshotRoundTrip(t *testing.T) {
 	if err := f.EncodeFrozen(&w); err != nil {
 		t.Fatal(err)
 	}
-	got, err := markov.DecodeFrozenModel(f.FrozenKind(), bytes.NewReader(w.Bytes()))
+	got, err := markov.DecodeFrozenModel(f.FrozenKind(), w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +70,105 @@ func TestFrozenSnapshotRejectsCorrupt(t *testing.T) {
 	}
 	valid := w.Bytes()
 	for cut := 0; cut < len(valid); cut += 5 {
-		if _, err := markov.DecodeFrozenModel(FrozenKind, bytes.NewReader(valid[:cut])); err == nil {
+		if _, err := markov.DecodeFrozenModel(FrozenKind, valid[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
+		}
+	}
+}
+
+// TestModelEncodeDecode: the link table is written in heading order,
+// so one frozen model always encodes to the same bytes, and a decoded
+// model re-encodes to exactly the bytes it came from.
+func TestModelEncodeDecode(t *testing.T) {
+	grades := popularity.FixedGrades{}
+	var heads []string
+	for i := 0; i < 12; i++ {
+		h := fmt.Sprintf("/h%02d", i)
+		grades[h] = 3
+		heads = append(heads, h)
+	}
+	m := New(grades, Config{})
+	for i, h := range heads {
+		// Each popular heading URL recurs deep in a branch headed by
+		// another, which earns it a rule-3 link.
+		m.TrainSequence([]string{heads[(i+1)%len(heads)], "/mid", h, "/leaf"})
+		m.TrainSequence([]string{h, "/leaf"})
+	}
+	f := m.Freeze().(*Frozen)
+	if len(f.links) < 2 {
+		t.Fatalf("fixture produced %d link headings; ordering is not exercised", len(f.links))
+	}
+
+	var first bytes.Buffer
+	if err := f.EncodeFrozen(&first); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		var again bytes.Buffer
+		if err := f.EncodeFrozen(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), again.Bytes()) {
+			t.Fatalf("encoding %d differs from the first", i+1)
+		}
+	}
+
+	got, err := markov.DecodeFrozenModel(FrozenKind, first.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var re bytes.Buffer
+	if err := got.(markov.FrozenEncoder).EncodeFrozen(&re); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), re.Bytes()) {
+		t.Fatal("decoded model re-encodes to different bytes")
+	}
+}
+
+// TestDecodeModelErrors: well-formed fields with invalid values — a
+// negative node count, link headings out of order, an empty link list,
+// a NaN link probability — are rejected.
+func TestDecodeModelErrors(t *testing.T) {
+	arena := markov.NewTree().Freeze()
+	type link struct {
+		head  string
+		preds []markov.Prediction
+	}
+	image := func(nodeCount int64, links ...link) []byte {
+		var w markov.WireWriter
+		w.String("PB-PPM")
+		w.Float64(0.25)
+		w.Int64(nodeCount)
+		w.Uint32(uint32(len(links)))
+		for _, l := range links {
+			w.String(l.head)
+			w.Uint32(uint32(len(l.preds)))
+			for _, p := range l.preds {
+				w.String(p.URL)
+				w.Float64(p.Probability)
+				w.Uint32(uint32(p.Order))
+			}
+		}
+		w.Arena(arena)
+		return w.Bytes()
+	}
+	ok := []markov.Prediction{{URL: "/x", Probability: 0.5, Order: 1}}
+	if _, err := markov.DecodeFrozenModel(FrozenKind, image(3, link{"/a", ok}, link{"/b", ok})); err != nil {
+		t.Fatalf("valid image rejected: %v", err)
+	}
+	cases := map[string][]byte{
+		"junk":             []byte("junk"),
+		"negative nodes":   image(-1),
+		"headings swapped": image(3, link{"/b", ok}, link{"/a", ok}),
+		"duplicate head":   image(3, link{"/a", ok}, link{"/a", ok}),
+		"empty link list":  image(3, link{"/a", nil}),
+		"NaN probability":  image(3, link{"/a", []markov.Prediction{{URL: "/x", Probability: math.NaN(), Order: 1}}}),
+		"empty link URL":   image(3, link{"/a", []markov.Prediction{{Probability: 0.5, Order: 1}}}),
+	}
+	for name, data := range cases {
+		if _, err := markov.DecodeFrozenModel(FrozenKind, data); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

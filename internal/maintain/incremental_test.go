@@ -208,7 +208,7 @@ func TestEmptyWindowRebuildKeepsSnapshot(t *testing.T) {
 
 // TestPanickingFactoryKeepsPreviousSnapshot is the satellite-3
 // crash-safety test: a factory that panics must not unpublish the live
-// model, must be counted, and must not kill the Run loop.
+// model, must be counted, and must not kill the RunIncremental loop.
 func TestPanickingFactoryKeepsPreviousSnapshot(t *testing.T) {
 	var panicking bool
 	factory := func(rank *popularity.Ranking) markov.Predictor {
@@ -236,19 +236,19 @@ func TestPanickingFactoryKeepsPreviousSnapshot(t *testing.T) {
 		t.Errorf("skipped{panic} = %d, want 1", v)
 	}
 
-	// The Run loop survives repeated panics; it keeps ticking and
+	// The RunIncremental loop survives repeated panics; it keeps ticking and
 	// counting skips instead of dying on the first one.
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		m.Run(2*time.Millisecond, stop)
+		m.RunIncremental(2*time.Millisecond, 2*time.Millisecond, stop)
 		close(done)
 	}()
 	deadline := time.After(2 * time.Second)
 	for m.SkippedUpdates() < 3 {
 		select {
 		case <-deadline:
-			t.Fatal("Run loop did not survive factory panics")
+			t.Fatal("RunIncremental loop did not survive factory panics")
 		default:
 			time.Sleep(time.Millisecond)
 		}

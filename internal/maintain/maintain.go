@@ -14,7 +14,8 @@
 // trims expired sessions out of the window, re-derives the popularity
 // ranking, and retrains from scratch — restoring the exact model a
 // cold retrain would produce and re-applying the space optimizations.
-// RunIncremental schedules both; Run is the legacy rebuild-only loop.
+// RunIncremental schedules both; a zero delta interval keeps only the
+// compactions.
 //
 // Both paths are crash-safe: an update that panics, or that would
 // replace a trained model with an empty one (a traffic lull trimming
@@ -657,51 +658,35 @@ func (m *Maintainer) DeltaMerge(now time.Time) markov.Predictor {
 	return published
 }
 
-// Run rebuilds every interval until stop is closed; intended as
+// RunIncremental runs the maintenance schedule until stop is closed: a
+// compaction (full rebuild) every compact interval and, when 0 < delta
+// < compact, a delta merge every delta interval in between; delta <= 0
+// means compaction only. Intended as
 //
 //	stop := make(chan struct{})
-//	go maint.Run(interval, stop)
+//	go maint.RunIncremental(delta, compact, stop)
 //
-// The first rebuild happens after the first interval elapses. Each
-// rebuild uses the wall clock at rebuild start — not the ticker's
+// The first update happens after the first interval elapses. Each
+// update uses the wall clock at update start — not the ticker's
 // receive value, which lags under load and would drift the window
-// cutoff — and rebuild panics are contained (see Rebuild), so one bad
-// window cannot kill maintenance permanently.
-func (m *Maintainer) Run(interval time.Duration, stop <-chan struct{}) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			m.Rebuild(time.Now())
-		}
-	}
-}
-
-// RunIncremental runs the incremental maintenance schedule until stop
-// is closed: a delta merge every delta interval, demoting full rebuilds
-// to compactions every compact interval (compact <= delta disables the
-// separate compaction ticker and every tick compacts). Like Run, each
-// update reads the wall clock at update start, and panics are contained
-// inside the update paths.
+// cutoff — and panics are contained inside the update paths (see
+// Rebuild), so one bad window cannot kill maintenance permanently.
 func (m *Maintainer) RunIncremental(delta, compact time.Duration, stop <-chan struct{}) {
-	if compact <= delta {
-		m.Run(delta, stop)
-		return
-	}
-	deltaTick := time.NewTicker(delta)
-	defer deltaTick.Stop()
 	compactTick := time.NewTicker(compact)
 	defer compactTick.Stop()
+	var deltaC <-chan time.Time // nil: never fires
+	if delta > 0 && delta < compact {
+		deltaTick := time.NewTicker(delta)
+		defer deltaTick.Stop()
+		deltaC = deltaTick.C
+	}
 	for {
 		select {
 		case <-stop:
 			return
 		case <-compactTick.C:
 			m.Rebuild(time.Now())
-		case <-deltaTick.C:
+		case <-deltaC:
 			m.DeltaMerge(time.Now())
 		}
 	}

@@ -245,14 +245,14 @@ func TestRunLoop(t *testing.T) {
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		m.Run(5*time.Millisecond, stop)
+		m.RunIncremental(5*time.Millisecond, 5*time.Millisecond, stop)
 		close(done)
 	}()
 	deadline := time.After(2 * time.Second)
 	for m.Rebuilds() < 2 {
 		select {
 		case <-deadline:
-			t.Fatal("Run performed no rebuilds")
+			t.Fatal("RunIncremental performed no rebuilds")
 		default:
 			time.Sleep(time.Millisecond)
 		}

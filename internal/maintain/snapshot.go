@@ -6,23 +6,30 @@
 // gate local rebuilds use — a failed or corrupt download keeps the
 // previous snapshot live.
 //
-// # Wire format (pbppmSN1)
+// # Wire format (pbppmSN2)
 //
-// Unlike the arena image — which is host-endian by design and guarded
-// by a byte-order mark, because it is mapped directly into memory — the
-// snapshot envelope crosses machines, so every integer in it is
-// explicit big-endian:
+// The envelope is the one model format on disk and on the wire: the
+// publisher's /snapshot serves it, and prefetchsim -save-model writes
+// it for modelinfo. Every section is a sequence of big-endian fields
+// (markov.WireWriter) with tables written in key order, so one model
+// and ranking always encode to the same bytes:
 //
-//	magic   "pbppmSN1"                      8 bytes
+//	magic   "pbppmSN2"                      8 bytes
 //	version uint64                          publisher's monotonic counter
 //	kind    uint32 length + bytes           frozen-model kind (decoder registry key)
 //	model   uint64 length + bytes           markov.FrozenEncoder output
 //	ranking uint64 length + bytes           popularity.Ranking.Encode; length 0 = none
 //	crc     uint64                          CRC-64/ECMA over everything above
 //
+// The model section carries the arena image verbatim. The arena is
+// host-endian by design — it is mapped directly into memory — and its
+// byte-order mark makes a reader on the opposite byte order reject it.
+//
 // The trailing checksum is verified before any section is decoded, so
 // a truncated or bit-flipped download fails fast with ErrChecksum and
-// never reaches a gob decoder.
+// never reaches a section decoder. A checksum-valid image still has
+// every field validated: a ranking must have a grade scale the server
+// can index (at most popularity.MaxGrade grades).
 package maintain
 
 import (
@@ -43,11 +50,7 @@ import (
 	"pbppm/internal/popularity"
 )
 
-const snapshotMagic = "pbppmSN1"
-
-// maxSnapshotSection bounds any single section length a decoder will
-// accept, so a corrupt header cannot ask for an absurd allocation.
-const maxSnapshotSection = 1 << 32
+const snapshotMagic = "pbppmSN2"
 
 // ErrChecksum reports a snapshot whose trailing CRC does not match its
 // contents — a truncated or corrupted transfer. Followers count it
@@ -57,11 +60,12 @@ var ErrChecksum = errors.New("maintain: snapshot checksum mismatch")
 
 var snapshotCRC = crc64.MakeTable(crc64.ECMA)
 
-// Snapshot is a decoded distribution payload: the revived model, the
-// popularity ranking it was built from (nil when the publisher had
-// none), and the publisher's version counter.
+// Snapshot is a decoded distribution payload: the revived model and
+// its frozen-model kind, the popularity ranking it was built from (nil
+// when the publisher had none), and the publisher's version counter.
 type Snapshot struct {
 	Version uint64
+	Kind    string
 	Model   markov.Predictor
 	Ranking *popularity.Ranking
 }
@@ -70,40 +74,22 @@ type Snapshot struct {
 // nil; the model must be able to serialize itself (markov.FrozenEncoder
 // — tree-backed models that cannot freeze have no wire form).
 func EncodeSnapshot(w io.Writer, version uint64, model markov.FrozenEncoder, rank *popularity.Ranking) error {
-	var body bytes.Buffer
-	body.WriteString(snapshotMagic)
-	var u64 [8]byte
-	put := func(v uint64) {
-		binary.BigEndian.PutUint64(u64[:], v)
-		body.Write(u64[:])
-	}
-	put(version)
-
-	kind := model.FrozenKind()
-	var u32 [4]byte
-	binary.BigEndian.PutUint32(u32[:], uint32(len(kind)))
-	body.Write(u32[:])
-	body.WriteString(kind)
-
-	var modelBuf bytes.Buffer
+	var modelBuf, rankBuf bytes.Buffer
 	if err := model.EncodeFrozen(&modelBuf); err != nil {
 		return fmt.Errorf("maintain: encoding snapshot model: %w", err)
 	}
-	put(uint64(modelBuf.Len()))
-	body.Write(modelBuf.Bytes())
-
-	var rankBuf bytes.Buffer
 	if rank != nil {
 		if err := rank.Encode(&rankBuf); err != nil {
 			return fmt.Errorf("maintain: encoding snapshot ranking: %w", err)
 		}
 	}
-	put(uint64(rankBuf.Len()))
-	body.Write(rankBuf.Bytes())
-
-	put(crc64.Checksum(body.Bytes(), snapshotCRC))
-
-	_, err := w.Write(body.Bytes())
+	e := markov.NewWireWriter([]byte(snapshotMagic))
+	e.Uint64(version)
+	e.String(model.FrozenKind())
+	e.Blob(modelBuf.Bytes())
+	e.Blob(rankBuf.Bytes())
+	e.Uint64(crc64.Checksum(e.Bytes(), snapshotCRC))
+	_, err := e.WriteTo(w)
 	return err
 }
 
@@ -122,53 +108,16 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, ErrChecksum
 	}
 
-	rest := data[len(snapshotMagic) : len(data)-8]
-	take := func(n uint64) ([]byte, error) {
-		if n > maxSnapshotSection || uint64(len(rest)) < n {
-			return nil, fmt.Errorf("maintain: snapshot section length %d exceeds remaining %d bytes", n, len(rest))
-		}
-		s := rest[:n]
-		rest = rest[n:]
-		return s, nil
+	r := markov.NewWireReader(data[len(snapshotMagic) : len(data)-8])
+	version := r.Uint64()
+	kind := r.String()
+	modelBytes := r.Blob()
+	rankBytes := r.Blob()
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("maintain: snapshot sections: %w", err)
 	}
 
-	hdr, err := take(8)
-	if err != nil {
-		return nil, err
-	}
-	version := binary.BigEndian.Uint64(hdr)
-
-	kl, err := take(4)
-	if err != nil {
-		return nil, err
-	}
-	kindBytes, err := take(uint64(binary.BigEndian.Uint32(kl)))
-	if err != nil {
-		return nil, err
-	}
-
-	ml, err := take(8)
-	if err != nil {
-		return nil, err
-	}
-	modelBytes, err := take(binary.BigEndian.Uint64(ml))
-	if err != nil {
-		return nil, err
-	}
-
-	rl, err := take(8)
-	if err != nil {
-		return nil, err
-	}
-	rankBytes, err := take(binary.BigEndian.Uint64(rl))
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("maintain: %d trailing bytes after snapshot sections", len(rest))
-	}
-
-	model, err := markov.DecodeFrozenModel(string(kindBytes), bytes.NewReader(modelBytes))
+	model, err := markov.DecodeFrozenModel(kind, modelBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -177,8 +126,12 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		if rank, err = popularity.DecodeRanking(bytes.NewReader(rankBytes)); err != nil {
 			return nil, err
 		}
+		if _, grades := rank.Scale(); grades > int(popularity.MaxGrade) {
+			return nil, fmt.Errorf("maintain: snapshot ranking has %d grades, the server grades at most %d",
+				grades, popularity.MaxGrade)
+		}
 	}
-	return &Snapshot{Version: version, Model: model, Ranking: rank}, nil
+	return &Snapshot{Version: version, Kind: kind, Model: model, Ranking: rank}, nil
 }
 
 // snapshotImage is one encoded payload held for serving, swapped whole

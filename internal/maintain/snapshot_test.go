@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc64"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -15,11 +16,12 @@ import (
 
 	"pbppm/internal/markov"
 	"pbppm/internal/obs"
+	"pbppm/internal/popularity"
 )
 
 // trainedMaintainer builds a maintainer with one rebuilt PB-PPM model
 // and a live ranking.
-func trainedMaintainer(t *testing.T, reg *obs.Registry) *Maintainer {
+func trainedMaintainer(t testing.TB, reg *obs.Registry) *Maintainer {
 	t.Helper()
 	m, err := New(Config{Factory: pbFactory, Obs: reg})
 	if err != nil {
@@ -42,6 +44,9 @@ func TestSnapshotWireRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := EncodeSnapshot(&buf, 42, enc, m.Ranking()); err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(buf.Bytes(), []byte("pbppmSN2")) {
+		t.Fatalf("image starts %q, want the pbppmSN2 magic", buf.Bytes()[:8])
 	}
 	snap, err := DecodeSnapshot(buf.Bytes())
 	if err != nil {
@@ -116,6 +121,71 @@ func TestDecodeSnapshotRejectsCorruption(t *testing.T) {
 	if _, err := DecodeSnapshot([]byte("pbppmXX1 wrong magic entirely.....")); err == nil ||
 		!strings.Contains(err.Error(), "magic") {
 		t.Errorf("bad magic: err = %v", err)
+	}
+
+	// A ranking the server cannot grade by must not decode even under
+	// a valid checksum: server scoring indexes per-grade arrays by
+	// GradeOf, so a scale with more than MaxGrade grades, fewer than
+	// one, a base that is not above 1, or a negative count is
+	// rejected as a decode (not a checksum) failure.
+	rejectRanking := func(name string, img []byte) {
+		t.Helper()
+		if _, err := DecodeSnapshot(img); err == nil {
+			t.Errorf("%s: ranking accepted", name)
+		} else if errors.Is(err, ErrChecksum) || !strings.Contains(err.Error(), "ranking") {
+			t.Errorf("%s: err = %v, want a ranking decode error", name, err)
+		}
+	}
+	wide := popularity.NewRankingWithScale(10, 7)
+	wide.Observe("/home", 9)
+	var wideBuf bytes.Buffer
+	if err := EncodeSnapshot(&wideBuf, 8, m.Predictor().(markov.FrozenEncoder), wide); err != nil {
+		t.Fatal(err)
+	}
+	rejectRanking("7 grades", wideBuf.Bytes())
+
+	// The ranking section ends the envelope: base float64, grades
+	// uint32, URL count uint32, then (URL, count int64) pairs.
+	var rankBuf bytes.Buffer
+	if err := m.Ranking().Encode(&rankBuf); err != nil {
+		t.Fatal(err)
+	}
+	rankOff := len(valid) - 8 - rankBuf.Len()
+	for _, c := range []struct {
+		name  string
+		field func(img []byte)
+	}{
+		{"grades -1", func(img []byte) { binary.BigEndian.PutUint32(img[rankOff+8:], ^uint32(0)) }},
+		{"grades 0", func(img []byte) { binary.BigEndian.PutUint32(img[rankOff+8:], 0) }},
+		{"base NaN", func(img []byte) { binary.BigEndian.PutUint64(img[rankOff:], math.Float64bits(math.NaN())) }},
+		{"base 1", func(img []byte) { binary.BigEndian.PutUint64(img[rankOff:], math.Float64bits(1)) }},
+		{"negative count", func(img []byte) { binary.BigEndian.PutUint64(img[len(img)-16:], ^uint64(0)) }},
+	} {
+		img := append([]byte(nil), valid...)
+		c.field(img)
+		resealSnapshot(img)
+		rejectRanking(c.name, img)
+	}
+}
+
+// TestEncodeSnapshotDeterministic: one model and its ranking always
+// encode to the same bytes, so an image's checksum and ETag identify
+// its content.
+func TestEncodeSnapshotDeterministic(t *testing.T) {
+	m := trainedMaintainer(t, nil)
+	enc := m.Predictor().(markov.FrozenEncoder)
+	var first bytes.Buffer
+	if err := EncodeSnapshot(&first, 3, enc, m.Ranking()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		var again bytes.Buffer
+		if err := EncodeSnapshot(&again, 3, enc, m.Ranking()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), again.Bytes()) {
+			t.Fatalf("encoding %d differs from the first", i+1)
+		}
 	}
 }
 

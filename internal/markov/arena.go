@@ -33,12 +33,13 @@
 // shared mapping verbatim, and ArenaFromBytes revives it after
 // validating every index against the buffer bounds. Multi-byte fields
 // are host-endian — the arena image is a same-architecture serving and
-// sharing format. Because images now also travel between machines (the
-// snapshot-distribution channel ships the arena verbatim), the header
-// carries a byte-order mark: an image written on a machine with the
-// opposite endianness is rejected by ArenaFromBytes with a clear error
-// instead of being misread through byte-swapped offsets. Cross-endian
-// interchange stays on wire format v2 (Encode/DecodeArena).
+// sharing format. The snapshot envelope (maintain's pbppmSN2) is the
+// one model format on disk and on the wire, and it carries this image
+// verbatim, so the header has a byte-order mark: an image written on a
+// machine with the opposite endianness is rejected by ArenaFromBytes
+// with a clear error instead of being misread through byte-swapped
+// offsets. Such a model is re-frozen on a machine of the reader's byte
+// order; there is no endian-neutral tree format.
 package markov
 
 import (
@@ -234,7 +235,7 @@ func ArenaFromBytes(buf []byte) (*Arena, error) {
 	case arenaBOM:
 		// Image and host agree on byte order.
 	case arenaBOMSwapped:
-		return nil, fmt.Errorf("markov: arena: image was written on a machine with the opposite byte order; re-freeze on this architecture or ship the model over wire format v2")
+		return nil, fmt.Errorf("markov: arena: image was written on a machine with the opposite byte order; re-freeze it on this architecture")
 	default:
 		return nil, fmt.Errorf("markov: arena: bad byte-order mark %#x", hdr[0])
 	}

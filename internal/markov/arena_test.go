@@ -129,25 +129,6 @@ func TestFreezeCanonicalLayout(t *testing.T) {
 	}
 }
 
-// TestArenaWireRoundTrip: encoding an arena to wire format v2 and
-// decoding it back must reproduce the exact image, so persisted
-// snapshots revive bit-identical.
-func TestArenaWireRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	a := randomArenaTree(rng, 600, 0).Freeze()
-	var w bytes.Buffer
-	if err := a.Encode(&w); err != nil {
-		t.Fatal(err)
-	}
-	b, err := DecodeArena(bytes.NewReader(w.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("wire round-trip changed the arena image")
-	}
-}
-
 // TestArenaBytesReattach: ArenaFromBytes over a copied image must
 // accept it and serve identical predictions — the relocatability
 // guarantee (the image can cross a file or shared mapping).

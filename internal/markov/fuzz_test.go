@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// fuzzSeedTrees returns a few representative trees whose encodings seed
-// the corpus: empty, tiny, height-capped, and a random workload.
+// fuzzSeedTrees returns a few representative trees whose arena images
+// seed the corpus: empty, tiny, height-capped, and a random workload.
 func fuzzSeedTrees() []*Tree {
 	empty := NewTree()
 	tiny := NewTree()
@@ -16,50 +16,6 @@ func fuzzSeedTrees() []*Tree {
 	capped.Insert([]string{"/a", "/b", "/c", "/d"}, 3, 1)
 	capped.Insert([]string{"/b", "/c"}, 3, 5)
 	return []*Tree{empty, tiny, capped, randomArenaTree(rand.New(rand.NewSource(11)), 120, 0)}
-}
-
-// FuzzDecodeTree hammers the wire-format decoder with mutated
-// payloads. The decoder must never panic — corrupt snapshots come off
-// disks and sockets — and anything it does accept must re-encode and
-// decode to an arena-identical tree (the decoder cannot invent states
-// the encoder would not produce).
-func FuzzDecodeTree(f *testing.F) {
-	for _, tr := range fuzzSeedTrees() {
-		var w bytes.Buffer
-		if err := tr.Encode(&w); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(w.Bytes())
-		// A few deterministic mutations widen the corpus beyond what the
-		// fuzzer mutates on its own.
-		for _, cut := range []int{1, len(w.Bytes()) / 2} {
-			if cut < len(w.Bytes()) {
-				f.Add(w.Bytes()[:cut])
-			}
-		}
-	}
-	f.Add([]byte("pbppmT2\n"))
-	f.Add([]byte("garbage"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := DecodeTree(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var w bytes.Buffer
-		if err := tr.Encode(&w); err != nil {
-			t.Fatalf("re-encoding an accepted tree failed: %v", err)
-		}
-		tr2, err := DecodeTree(bytes.NewReader(w.Bytes()))
-		if err != nil {
-			t.Fatalf("re-decoding an accepted tree failed: %v", err)
-		}
-		// Arena images are canonical, so byte equality is the strongest
-		// available identity check.
-		if !bytes.Equal(tr.Freeze().Bytes(), tr2.Freeze().Bytes()) {
-			t.Fatal("accepted tree did not round-trip identically")
-		}
-	})
 }
 
 // FuzzArenaFromBytes drives the arena validator with mutated images:

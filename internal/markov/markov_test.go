@@ -1,7 +1,6 @@
 package markov
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -428,39 +427,6 @@ func TestWalkAndString(t *testing.T) {
 	str := tr.String()
 	if !strings.Contains(str, "a/2") || !strings.Contains(str, "  x/1") {
 		t.Errorf("String() = %q", str)
-	}
-}
-
-func TestEncodeDecode(t *testing.T) {
-	tr := NewTree()
-	tr.Insert(seq("a", "b", "c"), 0, 3)
-	tr.Insert(seq("a", "d"), 0, 1)
-	tr.Insert(seq("z"), 0, 7)
-
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	got, err := DecodeTree(&buf)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if got.String() != tr.String() {
-		t.Errorf("round trip mismatch:\n%s\nvs\n%s", got.String(), tr.String())
-	}
-	if got.NodeCount() != tr.NodeCount() || got.Root.Count != tr.Root.Count {
-		t.Errorf("counts differ after round trip")
-	}
-	// Decoded tree must accept further inserts.
-	got.Insert(seq("new"), 0, 1)
-	if got.Match(seq("new")) == nil {
-		t.Error("decoded tree rejects inserts")
-	}
-}
-
-func TestDecodeError(t *testing.T) {
-	if _, err := DecodeTree(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Error("DecodeTree(junk) succeeded")
 	}
 }
 

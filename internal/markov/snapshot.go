@@ -7,10 +7,10 @@
 // needs a self-describing envelope, not just Arena.Bytes. FrozenEncoder
 // is that envelope's producer half: a frozen predictor names its
 // concrete kind and writes its full serving state. The decoder half is
-// a registry keyed by kind (the same shape as image.RegisterFormat or
-// gob.Register), so generic distribution code — the maintainer's
-// snapshot publisher, a follower's poll loop — moves models around
-// without a type switch over every model package.
+// a registry keyed by kind (the same shape as image.RegisterFormat),
+// so generic distribution code — the maintainer's snapshot publisher,
+// a follower's poll loop — moves models around without a type switch
+// over every model package.
 //
 // Model packages register their decoders in init; a process can only
 // decode kinds whose packages it links (prefetchd links core, ppm, and
@@ -18,20 +18,17 @@
 package markov
 
 import (
-	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 )
 
 // FrozenEncoder is implemented by frozen predictors that can serialize
 // their complete serving state for another process to revive. The
 // encoded form contains the arena image verbatim (host-endian, guarded
 // by the header's byte-order mark) plus whatever model-specific state
-// serving needs; DecodeFrozenModel revives it through the decoder
-// registered for Kind.
+// serving needs, written as WireWriter fields; DecodeFrozenModel
+// revives it through the decoder registered for Kind.
 type FrozenEncoder interface {
 	Predictor
 	// FrozenKind names the concrete frozen representation, e.g.
@@ -45,61 +42,47 @@ type FrozenEncoder interface {
 // FrozenDecoder revives one frozen-model kind from its encoded form.
 // Implementations must validate everything they read (a snapshot may
 // arrive truncated or corrupted over the network) and return an error
-// rather than panic.
-type FrozenDecoder func(r io.Reader) (Predictor, error)
+// rather than panic, must not retain data, and must accept only what
+// the encoder writes, so an accepted payload re-encodes to the same
+// bytes.
+type FrozenDecoder func(data []byte) (Predictor, error)
 
-var frozenDecoders = struct {
-	sync.RWMutex
-	m map[string]FrozenDecoder
-}{m: make(map[string]FrozenDecoder)}
+// frozenDecoders is written only by init-time registration, which
+// happens before any decode, so reads need no lock.
+var frozenDecoders = make(map[string]FrozenDecoder)
 
 // RegisterFrozenDecoder registers the decoder for a frozen-model kind.
-// Model packages call it from init; re-registering a kind panics (two
-// packages claiming one kind is a programmer error).
+// Model packages must call it from init; re-registering a kind panics
+// (two packages claiming one kind is a programmer error).
 func RegisterFrozenDecoder(kind string, fn FrozenDecoder) {
 	if kind == "" || fn == nil {
 		panic("markov: RegisterFrozenDecoder with empty kind or nil decoder")
 	}
-	frozenDecoders.Lock()
-	defer frozenDecoders.Unlock()
-	if _, dup := frozenDecoders.m[kind]; dup {
+	if _, dup := frozenDecoders[kind]; dup {
 		panic(fmt.Sprintf("markov: frozen decoder for kind %q registered twice", kind))
 	}
-	frozenDecoders.m[kind] = fn
+	frozenDecoders[kind] = fn
 }
 
-// DecodeFrozenModel revives a frozen model of the named kind from r.
+// DecodeFrozenModel revives a frozen model of the named kind from data.
 // Unknown kinds — a model package the process does not link, or a
 // corrupted envelope — return an error listing what is registered.
-func DecodeFrozenModel(kind string, r io.Reader) (Predictor, error) {
-	frozenDecoders.RLock()
-	fn := frozenDecoders.m[kind]
-	frozenDecoders.RUnlock()
+func DecodeFrozenModel(kind string, data []byte) (Predictor, error) {
+	fn := frozenDecoders[kind]
 	if fn == nil {
-		frozenDecoders.RLock()
-		known := make([]string, 0, len(frozenDecoders.m))
-		for k := range frozenDecoders.m {
+		known := make([]string, 0, len(frozenDecoders))
+		for k := range frozenDecoders {
 			known = append(known, k)
 		}
-		frozenDecoders.RUnlock()
 		sort.Strings(known)
 		return nil, fmt.Errorf("markov: no frozen decoder for kind %q (registered: %v)", kind, known)
 	}
-	return fn(r)
+	return fn(data)
 }
 
 // FrozenTreeKind identifies the generic single-tree frozen model
 // (standard PPM without blending, LRS) in snapshot envelopes.
 const FrozenTreeKind = "markov/frozen-tree"
-
-// wireFrozenTree is the gob image of a FrozenTree. The arena travels as
-// its raw image; ArenaFromBytes re-validates every offset on decode.
-type wireFrozenTree struct {
-	Name        string
-	Threshold   float64
-	ClampHeight int
-	Arena       []byte
-}
 
 var _ FrozenEncoder = (*FrozenTree)(nil)
 
@@ -109,29 +92,25 @@ func (f *FrozenTree) FrozenKind() string { return FrozenTreeKind }
 // EncodeFrozen implements FrozenEncoder: name, threshold, height clamp,
 // and the arena image.
 func (f *FrozenTree) EncodeFrozen(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	img := wireFrozenTree{
-		Name:        f.name,
-		Threshold:   f.threshold,
-		ClampHeight: f.clampHeight,
-		Arena:       f.arena.Bytes(),
-	}
-	if err := gob.NewEncoder(bw).Encode(img); err != nil {
-		return fmt.Errorf("markov: encoding frozen tree: %w", err)
-	}
-	return bw.Flush()
+	var e WireWriter
+	e.String(f.name)
+	e.Float64(f.threshold)
+	e.Uint32(uint32(f.clampHeight))
+	e.Arena(f.arena)
+	_, err := e.WriteTo(w)
+	return err
 }
 
 func init() {
-	RegisterFrozenDecoder(FrozenTreeKind, func(r io.Reader) (Predictor, error) {
-		var img wireFrozenTree
-		if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&img); err != nil {
+	RegisterFrozenDecoder(FrozenTreeKind, func(data []byte) (Predictor, error) {
+		r := NewWireReader(data)
+		name := r.String()
+		threshold := r.Float64()
+		clampHeight := r.Uint32()
+		a := r.Arena()
+		if err := r.Close(); err != nil {
 			return nil, fmt.Errorf("markov: decoding frozen tree: %w", err)
 		}
-		a, err := ArenaFromBytes(img.Arena)
-		if err != nil {
-			return nil, fmt.Errorf("markov: decoding frozen tree: %w", err)
-		}
-		return NewFrozenTree(a, img.Name, img.Threshold, img.ClampHeight), nil
+		return NewFrozenTree(a, name, threshold, int(clampHeight)), nil
 	})
 }

@@ -156,24 +156,20 @@ func StatsOf(p Predictor) (st TreeStats, ok bool) {
 }
 
 // TopBranches returns the n highest-count root branches with their
-// counts, descending; a quick view of what the model considers hot.
-func (t *Tree) TopBranches(n int) []Prediction {
-	out := make([]Prediction, 0, t.Root.Fanout())
-	total := t.Root.Count
-	t.Root.EachChild(func(c *Node) bool {
+// share of the training mass, descending (ties by URL); a quick view of
+// what the model considers hot.
+func (a *Arena) TopBranches(n int) []Prediction {
+	var out []Prediction
+	total := a.Count(0)
+	a.EachChild(0, func(child uint32, url string) bool {
 		p := 0.0
 		if total > 0 {
-			p = float64(c.Count) / float64(total)
+			p = float64(a.Count(child)) / float64(total)
 		}
-		out = append(out, Prediction{URL: t.syms.urls[c.sym], Probability: p, Order: 1})
+		out = append(out, Prediction{URL: url, Probability: p, Order: 1})
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Probability != out[j].Probability {
-			return out[i].Probability > out[j].Probability
-		}
-		return out[i].URL < out[j].URL
-	})
+	sort.Slice(out, func(i, j int) bool { return predictionLess(out[i], out[j]) })
 	if n < len(out) {
 		out = out[:n]
 	}

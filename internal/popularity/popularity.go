@@ -96,6 +96,15 @@ func (rk *Ranking) GradeOf(url string) Grade {
 	return rk.GradeOfRP(rk.Relative(url))
 }
 
+// Scale returns the logarithmic base and the number of non-zero grades
+// the ranking grades by (the paper's 10 and 3 for a zero value).
+func (rk *Ranking) Scale() (base float64, grades int) {
+	if rk.base == 0 {
+		return 10, int(MaxGrade)
+	}
+	return rk.base, rk.grades
+}
+
 // GradeOfRP maps a relative popularity value to a grade.
 func (rk *Ranking) GradeOfRP(rp float64) Grade {
 	if rp <= 0 {
@@ -104,10 +113,7 @@ func (rk *Ranking) GradeOfRP(rp float64) Grade {
 	if rp > 1 {
 		rp = 1
 	}
-	base, grades := rk.base, rk.grades
-	if base == 0 {
-		base, grades = 10, int(MaxGrade) // zero-value Ranking: paper defaults
-	}
+	base, grades := rk.Scale()
 	// g = grades + floor(log_base(rp)) + 1 for rp in (0,1], clamped.
 	lg := math.Log(rp) / math.Log(base)
 	g := grades + int(math.Floor(lg)) + 1

@@ -155,7 +155,7 @@ func (f *frozenBlended) TrainSequence([]string) {
 
 func (f *frozenBlended) NodeCount() int { return f.arena.NodeCount() }
 
-// Arena exposes the snapshot for stats and persistence.
+// Arena exposes the snapshot for stats and its wire form.
 func (f *frozenBlended) Arena() *markov.Arena { return f.arena }
 
 func (f *frozenBlended) Predict(context []string) []markov.Prediction {
@@ -287,6 +287,5 @@ func (m *Model) SetUsageRecording(on bool) { m.tree.SetUsageRecording(on) }
 // UsageRecording reports whether usage marking is enabled.
 func (m *Model) UsageRecording() bool { return m.tree.UsageRecording() }
 
-// Tree exposes the underlying prediction tree for diagnostics and
-// persistence.
+// Tree exposes the underlying prediction tree for diagnostics.
 func (m *Model) Tree() *markov.Tree { return m.tree }

@@ -1,8 +1,6 @@
 package ppm
 
 import (
-	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 
@@ -14,45 +12,30 @@ import (
 // markov.FrozenTree and travels under markov.FrozenTreeKind.
 const FrozenBlendedKind = "ppm/frozen-blended"
 
-// wireFrozenBlended is the gob image of a frozenBlended model; the
-// arena travels verbatim and is re-validated on decode.
-type wireFrozenBlended struct {
-	Name      string
-	Threshold float64
-	Height    int
-	Arena     []byte
-}
-
 var _ markov.FrozenEncoder = (*frozenBlended)(nil)
 
 // FrozenKind implements markov.FrozenEncoder.
 func (f *frozenBlended) FrozenKind() string { return FrozenBlendedKind }
 
-// EncodeFrozen implements markov.FrozenEncoder.
+// EncodeFrozen implements markov.FrozenEncoder: name, threshold,
+// height, and the arena image.
 func (f *frozenBlended) EncodeFrozen(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	img := wireFrozenBlended{
-		Name:      f.name,
-		Threshold: f.threshold,
-		Height:    f.height,
-		Arena:     f.arena.Bytes(),
-	}
-	if err := gob.NewEncoder(bw).Encode(img); err != nil {
-		return fmt.Errorf("ppm: encoding frozen blended model: %w", err)
-	}
-	return bw.Flush()
+	var e markov.WireWriter
+	e.String(f.name)
+	e.Float64(f.threshold)
+	e.Uint32(uint32(f.height))
+	e.Arena(f.arena)
+	_, err := e.WriteTo(w)
+	return err
 }
 
 func init() {
-	markov.RegisterFrozenDecoder(FrozenBlendedKind, func(r io.Reader) (markov.Predictor, error) {
-		var img wireFrozenBlended
-		if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&img); err != nil {
+	markov.RegisterFrozenDecoder(FrozenBlendedKind, func(data []byte) (markov.Predictor, error) {
+		r := markov.NewWireReader(data)
+		f := &frozenBlended{name: r.String(), threshold: r.Float64(), height: int(r.Uint32()), arena: r.Arena()}
+		if err := r.Close(); err != nil {
 			return nil, fmt.Errorf("ppm: decoding frozen blended model: %w", err)
 		}
-		a, err := markov.ArenaFromBytes(img.Arena)
-		if err != nil {
-			return nil, fmt.Errorf("ppm: decoding frozen blended model: %w", err)
-		}
-		return &frozenBlended{name: img.Name, arena: a, threshold: img.Threshold, height: img.Height}, nil
+		return f, nil
 	})
 }

@@ -106,21 +106,6 @@ type (
 // NewTopN returns an empty Top-N popularity-pushing baseline.
 func NewTopN(cfg TopNConfig) *TopNModel { return topn.New(cfg) }
 
-// DecodePopularityPPM restores a model persisted with
-// (*PopularityPPM).Encode, attaching grades for further training.
-func DecodePopularityPPM(r io.Reader, grades Grader) (*PopularityPPM, error) {
-	return core.DecodeModel(r, grades)
-}
-
-// DecodeStandardPPM restores a model persisted with (*PPMModel).Encode.
-func DecodeStandardPPM(r io.Reader) (*PPMModel, error) { return ppm.DecodeModel(r) }
-
-// DecodeLRS restores a model persisted with (*LRSModel).Encode.
-func DecodeLRS(r io.Reader) (*LRSModel, error) { return lrs.DecodeModel(r) }
-
-// DecodeRanking restores a ranking persisted with (*Ranking).Encode.
-func DecodeRanking(r io.Reader) (*Ranking, error) { return popularity.DecodeRanking(r) }
-
 // DefaultThreshold is the paper's 0.25 prediction probability threshold.
 const DefaultThreshold = ppm.DefaultThreshold
 

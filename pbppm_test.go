@@ -150,45 +150,6 @@ func TestFacadeLatencyFit(t *testing.T) {
 	}
 }
 
-// TestFacadePersistence round-trips a trained PB model and its ranking
-// through the public Encode/Decode API.
-func TestFacadePersistence(t *testing.T) {
-	rank := NewRanking()
-	for i := 0; i < 20; i++ {
-		rank.Observe("/home", 1)
-	}
-	rank.Observe("/rare", 1)
-
-	m := NewPopularityPPM(rank, PopularityPPMConfig{})
-	for i := 0; i < 5; i++ {
-		m.TrainSequence([]string{"/home", "/rare"})
-	}
-
-	var rankBuf, modelBuf bytes.Buffer
-	if err := rank.Encode(&rankBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Encode(&modelBuf); err != nil {
-		t.Fatal(err)
-	}
-
-	rank2, err := DecodeRanking(&rankBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := DecodePopularityPPM(&modelBuf, rank2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.NodeCount() != m.NodeCount() {
-		t.Errorf("nodes = %d, want %d", m2.NodeCount(), m.NodeCount())
-	}
-	got := m2.Predict([]string{"/home"})
-	if len(got) == 0 || got[0].URL != "/rare" {
-		t.Errorf("restored model Predict = %+v", got)
-	}
-}
-
 // TestFacadeTopN exercises the related-work baseline via the facade.
 func TestFacadeTopN(t *testing.T) {
 	m := NewTopN(TopNConfig{N: 1})
@@ -255,30 +216,6 @@ func TestFacadeCaches(t *testing.T) {
 	}
 	if PolicyLRU == PolicyGDSF {
 		t.Error("policy constants collide")
-	}
-}
-
-// TestFacadeHTTPDecoders covers the standard/LRS decode wrappers.
-func TestFacadeModelDecoders(t *testing.T) {
-	std := NewStandardPPM(PPMConfig{})
-	std.TrainSequence([]string{"a", "b"})
-	var buf bytes.Buffer
-	if err := std.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeStandardPPM(&buf)
-	if err != nil || back.NodeCount() != std.NodeCount() {
-		t.Errorf("DecodeStandardPPM: %v", err)
-	}
-
-	l := NewLRS(LRSConfig{})
-	l.TrainSequence([]string{"a", "b"})
-	buf.Reset()
-	if err := l.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeLRS(&buf); err != nil {
-		t.Errorf("DecodeLRS: %v", err)
 	}
 }
 
