@@ -480,3 +480,54 @@ func BenchmarkMaintenance(b *testing.B) {
 		b.ReportMetric(m.Daily[last].HitRatio(), "daily-hit-day7")
 	}
 }
+
+var (
+	benchReplayOnce sync.Once
+	benchReplay     *experiments.Workload
+	benchReplayErr  error
+)
+
+// replayWorkload is the nasa workload at the scale BENCH_baseline.json
+// was recorded at (cmd/reproduce -scale small).
+func replayWorkload(b *testing.B) *experiments.Workload {
+	b.Helper()
+	benchReplayOnce.Do(func() {
+		p := tracegen.NASA()
+		p.Days = 4
+		p.SessionsPerDay /= 2
+		p.Pages /= 2
+		p.Browsers /= 2
+		p.CrawlerPagesPerDay = 150
+		benchReplay, benchReplayErr = experiments.FromProfile(p)
+	})
+	if benchReplayErr != nil {
+		b.Fatal(benchReplayErr)
+	}
+	return benchReplay
+}
+
+// BenchmarkPaperReplayBatch runs one batch of the offline paper replay:
+// Figure 3, Figure 4 and the Top-10 baselines on the small-scale nasa
+// workload, each training every model and replaying every test event.
+// It reports the replayed demand events per op, so a CPU profile of it
+// (-cpuprofile) shows where the replay's time goes.
+func BenchmarkPaperReplayBatch(b *testing.B) {
+	w := replayWorkload(b)
+	clock := sim.NewPhaseClock(nil)
+	w.Hooks = experiments.Hooks{Phases: clock}
+	defer func() { w.Hooks = experiments.Hooks{} }()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.RunFigure3(w, experiments.SweepConfig{}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := experiments.RunFigure4(w, experiments.SweepConfig{}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := experiments.RunBaselines(w); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(clock.Events())/float64(b.N), "events/op")
+}

@@ -180,22 +180,25 @@ func (m *Model) TrainSequence(seq []string) {
 // during training, so sharing it across shards is safe.
 func (m *Model) NewShard() markov.Predictor { return New(m.grades, m.cfg) }
 
-// MergeShard folds a shard trained by NewShard back into the model:
-// tree counts are additive and rule-3 link counts fold per (root, url)
-// pair, so shard-trained and serially-trained models are equivalent.
+// MergeShard folds a shard trained by NewShard back into the model and
+// consumes it: the shard's tree is absorbed and its rule-3 link maps
+// are moved or folded, leaving the shard empty. Tree counts are
+// additive and link counts fold per (root, url) pair, so shard-trained
+// and serially-trained models are equivalent.
 func (m *Model) MergeShard(shard markov.Predictor) {
 	sh := shard.(*Model)
-	m.tree.Merge(sh.tree)
+	m.tree.Absorb(sh.tree)
 	for root, lm := range sh.links {
+		dst := m.links[root]
+		if dst == nil {
+			m.links[root] = lm
+			continue
+		}
 		for url, cnt := range lm {
-			dst := m.links[root]
-			if dst == nil {
-				dst = make(map[string]int64)
-				m.links[root] = dst
-			}
 			dst[url] += cnt
 		}
 	}
+	sh.links = make(map[string]map[string]int64)
 }
 
 // Clone returns a deep copy of the model for incremental maintenance:

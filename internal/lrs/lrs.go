@@ -74,9 +74,7 @@ func (m *Model) Name() string { return "LRS-PPM" }
 // trie. The prediction tree is rebuilt lazily on the next Predict or
 // NodeCount call.
 func (m *Model) TrainSequence(seq []string) {
-	for i := range seq {
-		m.full.Insert(seq[i:], m.cfg.MaxHeight, 1)
-	}
+	m.full.InsertSuffixes(seq, m.cfg.MaxHeight, 1)
 	m.dirty = true
 }
 
@@ -102,9 +100,10 @@ func (m *Model) rebuild() {
 func (m *Model) NewShard() markov.Predictor { return New(m.cfg) }
 
 // MergeShard folds a shard trained by NewShard into the full suffix
-// trie; the repeating-only view is rebuilt lazily as usual.
+// trie and consumes it: the shard's trie is absorbed, leaving it empty.
+// The repeating-only view is rebuilt lazily as usual.
 func (m *Model) MergeShard(shard markov.Predictor) {
-	m.full.Merge(shard.(*Model).full)
+	m.full.Absorb(shard.(*Model).full)
 	m.dirty = true
 }
 

@@ -380,6 +380,32 @@ func (t *Tree) Insert(seq []string, maxDepth int, weight int64) {
 	}
 }
 
+// InsertSuffixes inserts every suffix of seq as a branch, exactly as
+// Insert(seq[i:], maxDepth, weight) for each i in order would, but
+// interns each URL of seq once instead of once per suffix that holds it.
+func (t *Tree) InsertSuffixes(seq []string, maxDepth int, weight int64) {
+	if weight <= 0 {
+		panic(fmt.Sprintf("markov: non-positive insert weight %d", weight))
+	}
+	var scratch [32]uint32
+	syms := scratch[:0]
+	for _, u := range seq {
+		syms = append(syms, t.syms.intern(u))
+	}
+	for i := range syms {
+		branch := syms[i:]
+		if maxDepth > 0 && len(branch) > maxDepth {
+			branch = branch[:maxDepth]
+		}
+		t.Root.Count += weight
+		n := t.Root
+		for _, sym := range branch {
+			n = n.ensureChildSym(sym)
+			n.Count += weight
+		}
+	}
+}
+
 // Match walks the exact path seq from the pseudo-root and returns the
 // final node, or nil if the path is absent.
 func (t *Tree) Match(seq []string) *Node {
@@ -707,43 +733,113 @@ func (t *Tree) String() string {
 
 // Merge folds other's counts into t, node by node — the cooperative
 // scenario of the paper's related work where service proxies aggregate
-// prediction state from multiple home servers, and the fold step of
-// TrainAllParallel. other is not modified. Usage marks are not merged
-// (they are prediction-phase scratch).
-func (t *Tree) Merge(other *Tree) {
+// prediction state from multiple home servers. other is not modified:
+// Merge absorbs a clone of it. Usage marks are not merged (they are
+// prediction-phase scratch).
+func (t *Tree) Merge(other *Tree) { t.Absorb(other.Clone()) }
+
+// Absorb folds other into t and consumes it — the fold step of
+// TrainAllParallel and of a delta merge, whose shard is discarded
+// afterwards. Subtrees t lacks are moved, not copied: they are
+// relabelled to t's symbols and attached. Only nodes present in both
+// trees add counts. other is left empty. Moved nodes keep their usage
+// marks; Merge, which absorbs a clone, carries none.
+func (t *Tree) Absorb(other *Tree) {
+	if other == t {
+		panic("markov: a tree cannot absorb itself")
+	}
 	t.Root.Count += other.Root.Count
-	if t.syms == other.syms {
-		var merge func(dst, src *Node)
-		merge = func(dst, src *Node) {
-			src.EachChild(func(sc *Node) bool {
-				dc := dst.ensureChildSym(sc.sym)
-				dc.Count += sc.Count
-				merge(dc, sc)
-				return true
-			})
-		}
-		merge(t.Root, other.Root)
+	if t.Root.Fanout() == 0 && t.SymbolCount() == 0 {
+		// Nothing to relabel against: adopt other's nodes and symbols.
+		t.Root.small, t.Root.big, t.syms = other.Root.small, other.Root.big, other.syms
+		other.Root, other.syms = &Node{}, newSymtab()
 		return
 	}
-	// Different symbol tables: translate lazily through a remap slice
-	// (src symbol → dst symbol; 0 marks not-yet-seen, safe because
-	// symbol 0 is reserved for the pseudo-root and never keys a child).
-	remap := make([]uint32, len(other.syms.urls))
-	var merge func(dst, src *Node)
-	merge = func(dst, src *Node) {
-		src.EachChild(func(sc *Node) bool {
-			sym := remap[sc.sym]
-			if sym == 0 {
-				sym = t.syms.intern(other.syms.urls[sc.sym])
-				remap[sc.sym] = sym
+	// remap translates other's symbols to t's, filled lazily (0 marks
+	// not-yet-seen, safe because symbol 0 is reserved for the
+	// pseudo-root and never keys a child). A shared symbol table needs
+	// no translation.
+	var remap []uint32
+	if t.syms != other.syms {
+		remap = make([]uint32, len(other.syms.urls))
+	}
+	sym := func(s uint32) uint32 {
+		if remap == nil {
+			return s
+		}
+		if remap[s] == 0 {
+			remap[s] = t.syms.intern(other.syms.urls[s])
+		}
+		return remap[s]
+	}
+	var relabel func(n *Node)
+	relabel = func(n *Node) {
+		n.sym = sym(n.sym)
+		if n.big != nil {
+			big := make(map[uint32]*Node, len(n.big))
+			for _, c := range n.big {
+				relabel(c)
+				big[c.sym] = c
 			}
-			dc := dst.ensureChildSym(sym)
-			dc.Count += sc.Count
-			merge(dc, sc)
+			n.big = big
+			return
+		}
+		for i := range n.small {
+			relabel(n.small[i].node)
+			n.small[i].sym = n.small[i].node.sym
+		}
+		sortChildRefs(n.small)
+	}
+	var absorb func(dst, src *Node)
+	absorb = func(dst, src *Node) {
+		src.EachChild(func(sc *Node) bool {
+			if dc := dst.childBySym(sym(sc.sym)); dc != nil {
+				dc.Count += sc.Count
+				absorb(dc, sc)
+				return true
+			}
+			if remap != nil {
+				relabel(sc)
+			}
+			dst.attachChild(sc)
 			return true
 		})
 	}
-	merge(t.Root, other.Root)
+	absorb(t.Root, other.Root)
+	other.Root = &Node{}
+	other.syms = newSymtab()
+}
+
+// attachChild adds c, which n must not already have a child for, under
+// its symbol, promoting the representation as ensureChildSym does.
+func (n *Node) attachChild(c *Node) {
+	if n.big == nil && len(n.small) < promoteFanout {
+		n.small = append(n.small, childRef{sym: c.sym, node: c})
+		sortChildRefs(n.small)
+		return
+	}
+	if n.big == nil {
+		n.big = make(map[uint32]*Node, len(n.small)+1)
+		for _, cr := range n.small {
+			n.big[cr.sym] = cr.node
+		}
+		n.small = nil
+	}
+	n.big[c.sym] = c
+}
+
+// sortChildRefs restores symbol order in a small child slice by
+// insertion sort; the slices hold at most promoteFanout entries.
+func sortChildRefs(s []childRef) {
+	for i := 1; i < len(s); i++ {
+		cr := s[i]
+		j := i - 1
+		for j >= 0 && s[j].sym > cr.sym {
+			s[j+1] = s[j]
+			j--
+		}
+		s[j+1] = cr
+	}
 }
 
 // Clone returns a deep copy of the tree: every node, child container,

@@ -119,12 +119,15 @@ func TestEncodeStartsWithMagic(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewWireReader(w.Bytes())
-	r.String()
+	name := r.String()
 	r.Float64()
 	r.Uint32()
 	blob := r.Blob()
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if name != "t" {
+		t.Errorf("decoded name = %q, want %q", name, "t")
 	}
 	if !bytes.HasPrefix(blob, []byte(arenaMagic)) {
 		t.Errorf("encoded arena blob does not start with the v2 magic: % x", blob[:12])

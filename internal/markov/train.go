@@ -16,7 +16,7 @@ func TrainAll(p Predictor, seqs [][]string) {
 // ShardedTrainer is implemented by models whose training can be split
 // across workers: NewShard returns a fresh, empty model compatible with
 // the receiver, and MergeShard folds a trained shard's counts back into
-// it. Because tree counts are additive and Merge is commutative over
+// it. Because tree counts are additive and the fold is commutative over
 // them, a model trained through shards is equivalent to one trained
 // serially on the same sequences.
 type ShardedTrainer interface {
@@ -25,7 +25,9 @@ type ShardedTrainer interface {
 	// configuration, suitable for independent training.
 	NewShard() Predictor
 	// MergeShard folds a shard previously returned by NewShard into the
-	// receiver. It must not run concurrently with other methods.
+	// receiver and consumes it: the shard's nodes move into the
+	// receiver (Tree.Absorb), so the shard must not be used afterwards.
+	// It must not run concurrently with other methods.
 	MergeShard(shard Predictor)
 }
 
@@ -110,7 +112,8 @@ func trainAllWorkers(p Predictor, seqs [][]string, workers int) {
 	wg.Wait()
 
 	// Fold in shard order so symbol assignment in the destination tree
-	// is deterministic for a given worker count.
+	// is deterministic for a given worker count. Each fold consumes its
+	// shard.
 	for _, shard := range shards {
 		if shard != nil {
 			st.MergeShard(shard)

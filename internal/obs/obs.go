@@ -270,14 +270,18 @@ func (r *Registry) Histogram(name, help string, bounds []time.Duration, labels .
 	return r.register(name, help, kindHistogram, labels, func() any { return NewHistogram(bounds) }).(*Histogram)
 }
 
-// snapshot returns the families sorted by name with entries in
-// registration order, for rendering.
-func (r *Registry) snapshot() []*family {
+// snapshot returns copies of the families sorted by name with entries
+// in registration order, for rendering. Each family's entries are
+// copied under the lock, so a render never reads a list that a
+// concurrent registration is appending to.
+func (r *Registry) snapshot() []family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*family, 0, len(r.families))
+	out := make([]family, 0, len(r.families))
 	for _, f := range r.families {
-		out = append(out, f)
+		cp := *f
+		cp.entries = slices.Clone(f.entries)
+		out = append(out, cp)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out

@@ -3,6 +3,7 @@ package obs
 import (
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -153,6 +154,43 @@ func TestAdminMux(t *testing.T) {
 	}
 	if rec := get("/debug/pprof/cmdline"); rec.Code != http.StatusOK {
 		t.Errorf("/debug/pprof/cmdline = %d", rec.Code)
+	}
+}
+
+// TestRegisterWhileRendering registers gauges into one family while
+// /metrics renders it — the pattern of a follower installing a model
+// (and registering its gauges) during a scrape. Under -race the render
+// must not read a family's series list that registration appends to,
+// and the final render must carry every registered series.
+func TestRegisterWhileRendering(t *testing.T) {
+	reg := NewRegistry()
+	mux := NewAdminMux(reg, nil)
+	const series = 200
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < series; i++ {
+			reg.Gauge("model_nodes", "Nodes.", Label{Name: "model", Value: strconv.Itoa(i)}).Set(int64(i))
+		}
+	}()
+	render := func() string {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/metrics = %d", rec.Code)
+		}
+		return rec.Body.String()
+	}
+	for rendering := true; rendering; {
+		select {
+		case <-done:
+			rendering = false
+		default:
+			render()
+		}
+	}
+	if got := strings.Count(render(), "model_nodes{"); got != series {
+		t.Errorf("final render has %d model_nodes series, want %d", got, series)
 	}
 }
 

@@ -11,6 +11,7 @@ package popularity
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 )
@@ -66,6 +67,21 @@ func (rk *Ranking) Observe(url string, n int64) {
 	rk.counts[url] += n
 	if rk.counts[url] > rk.max {
 		rk.max = rk.counts[url]
+	}
+}
+
+// Clone returns an independent copy of the ranking: the same counts
+// and grade scale, without sorting anything.
+func (rk *Ranking) Clone() *Ranking {
+	out := *rk
+	out.counts = maps.Clone(rk.counts)
+	return &out
+}
+
+// Merge adds every access count of other into rk.
+func (rk *Ranking) Merge(other *Ranking) {
+	for u, c := range other.counts {
+		rk.Observe(u, c)
 	}
 }
 

@@ -26,6 +26,49 @@ func TestObserveAndCounts(t *testing.T) {
 	}
 }
 
+// TestCloneIsIndependent: a clone carries the counts, maximum and grade
+// scale, and later observations on either side stay on that side.
+func TestCloneIsIndependent(t *testing.T) {
+	rk := NewRankingWithScale(2, 5)
+	rk.Observe("/a", 10)
+	rk.Observe("/b", 3)
+	cp := rk.Clone()
+	if cp.Count("/a") != 10 || cp.Count("/b") != 3 || cp.MaxCount() != 10 || cp.Len() != 2 {
+		t.Fatalf("clone counts = %d/%d max %d len %d", cp.Count("/a"), cp.Count("/b"), cp.MaxCount(), cp.Len())
+	}
+	if base, grades := cp.Scale(); base != 2 || grades != 5 {
+		t.Errorf("clone scale = %v/%d, want 2/5", base, grades)
+	}
+	cp.Observe("/c", 20)
+	rk.Observe("/b", 1)
+	if rk.Count("/c") != 0 || rk.MaxCount() != 10 {
+		t.Error("observing into the clone changed the original")
+	}
+	if cp.Count("/b") != 3 {
+		t.Error("observing into the original changed the clone")
+	}
+	if NewRanking().Clone().Len() != 0 {
+		t.Error("clone of an empty ranking is not empty")
+	}
+}
+
+// TestMergeAddsCounts: merging folds every count of the other ranking
+// in and keeps the maximum right.
+func TestMergeAddsCounts(t *testing.T) {
+	a, b := NewRanking(), NewRanking()
+	a.Observe("/a", 4)
+	a.Observe("/shared", 1)
+	b.Observe("/b", 2)
+	b.Observe("/shared", 6)
+	a.Merge(b)
+	if a.Count("/a") != 4 || a.Count("/b") != 2 || a.Count("/shared") != 7 || a.MaxCount() != 7 {
+		t.Errorf("merged counts = %d/%d/%d max %d", a.Count("/a"), a.Count("/b"), a.Count("/shared"), a.MaxCount())
+	}
+	if b.Count("/shared") != 6 || b.Len() != 2 {
+		t.Error("merge changed its source")
+	}
+}
+
 func TestObserveNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

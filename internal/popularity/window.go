@@ -121,13 +121,6 @@ func (wr *WindowedRanking) Top(n int) []string { return wr.aggregate().Top(n) }
 
 // Snapshot returns an independent flat Ranking of the window, suitable
 // for handing to a model build.
-func (wr *WindowedRanking) Snapshot() *Ranking {
-	src := wr.aggregate()
-	out := NewRanking()
-	for _, u := range src.Top(src.Len()) {
-		out.Observe(u, src.Count(u))
-	}
-	return out
-}
+func (wr *WindowedRanking) Snapshot() *Ranking { return wr.aggregate().Clone() }
 
 var _ Grader = (*WindowedRanking)(nil)

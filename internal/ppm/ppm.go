@@ -88,9 +88,7 @@ func (m *Model) Name() string {
 // configured height, so that any position can serve as a prediction
 // context.
 func (m *Model) TrainSequence(seq []string) {
-	for i := range seq {
-		m.tree.Insert(seq[i:], m.cfg.Height, 1)
-	}
+	m.tree.InsertSuffixes(seq, m.cfg.Height, 1)
 }
 
 // Predict finds the deepest node matching the longest suffix of the
@@ -257,11 +255,12 @@ func (m *Model) predictBlended(ctx []string) []markov.Prediction {
 // markov.TrainAllParallel.
 func (m *Model) NewShard() markov.Predictor { return New(m.cfg) }
 
-// MergeShard folds a shard trained by NewShard back into the model.
-// Counts are additive, so shard-trained and serially-trained models are
+// MergeShard folds a shard trained by NewShard back into the model and
+// consumes it: the shard's tree is absorbed, leaving it empty. Counts
+// are additive, so shard-trained and serially-trained models are
 // equivalent.
 func (m *Model) MergeShard(shard markov.Predictor) {
-	m.tree.Merge(shard.(*Model).tree)
+	m.tree.Absorb(shard.(*Model).tree)
 }
 
 // Clone returns a deep copy of the model for incremental maintenance:

@@ -485,16 +485,16 @@ func (s *Server) observeRank(url string) {
 }
 
 // Ranking returns a merged snapshot copy of the server's online
-// popularity counts, suitable for building a fresh PB-PPM model.
+// popularity counts, suitable for building a fresh PB-PPM model. Each
+// shard's lock is held only while its counts are cloned.
 func (s *Server) Ranking() *popularity.Ranking {
 	out := popularity.NewRanking()
 	for i := range s.ranks {
 		rs := &s.ranks[i]
 		rs.mu.Lock()
-		for _, u := range rs.rank.Top(rs.rank.Len()) {
-			out.Observe(u, rs.rank.Count(u))
-		}
+		shard := rs.rank.Clone()
 		rs.mu.Unlock()
+		out.Merge(shard)
 	}
 	return out
 }

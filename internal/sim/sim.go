@@ -240,23 +240,11 @@ type event struct {
 	view    int // index into the session's views
 }
 
-// Run replays the test sessions against the configured topology and
-// returns the accumulated metrics. The supplied predictor must already
-// be trained (see Train).
-func Run(test []session.Session, opt Options) metrics.Result {
-	res := metrics.Result{Model: "none"}
-	if opt.Predictor != nil {
-		res.Model = opt.Predictor.Name()
-	}
-	sizes := opt.Sizes
-	if sizes == nil {
-		sizes = BuildSizeTable(test)
-	}
-	path := opt.path()
-	maxPf := opt.maxPrefetch()
-
-	// Replay strictly in time order across sessions so cache contents
-	// evolve exactly as the interleaved trace dictates.
+// schedule orders every page view of the test sessions for replay:
+// strictly by time across sessions, so cache contents evolve exactly as
+// the interleaved trace dictates. Replays only read it, so the runs of
+// one comparison share it.
+func schedule(test []session.Session) []event {
 	var events []event
 	for si, s := range test {
 		for vi, v := range s.Views {
@@ -273,6 +261,28 @@ func Run(test []session.Session, opt Options) metrics.Result {
 		return events[i].session < events[j].session ||
 			(events[i].session == events[j].session && events[i].view < events[j].view)
 	})
+	return events
+}
+
+// Run replays the test sessions against the configured topology and
+// returns the accumulated metrics. The supplied predictor must already
+// be trained (see Train).
+func Run(test []session.Session, opt Options) metrics.Result {
+	return run(test, schedule(test), opt)
+}
+
+// run is Run over a replay schedule built by schedule(test).
+func run(test []session.Session, events []event, opt Options) metrics.Result {
+	res := metrics.Result{Model: "none"}
+	if opt.Predictor != nil {
+		res.Model = opt.Predictor.Name()
+	}
+	sizes := opt.Sizes
+	if sizes == nil {
+		sizes = BuildSizeTable(test)
+	}
+	path := opt.path()
+	maxPf := opt.maxPrefetch()
 
 	browsers := make(map[string]cache.Policy)
 	browserFor := func(client string) cache.Policy {
@@ -456,11 +466,12 @@ func Run(test []session.Session, opt Options) metrics.Result {
 func Compare(train, test []session.Session, runs []NamedRun) []metrics.Result {
 	results := make([]metrics.Result, 0, len(runs)+1)
 	sizes := BuildSizeTable(train, test)
+	events := schedule(test)
 
 	base := runs[0].Options
 	base.Predictor = nil
 	base.Sizes = sizes
-	baseline := Run(test, base)
+	baseline := run(test, events, base)
 	baseline.Model = "none"
 	results = append(results, baseline)
 
@@ -468,7 +479,7 @@ func Compare(train, test []session.Session, runs []NamedRun) []metrics.Result {
 		opts := r.Options
 		opts.Sizes = sizes
 		opts.Phases.Time(PhaseTrain, func() { Train(opts.Predictor, train) })
-		res := Run(test, opts)
+		res := run(test, events, opts)
 		if r.Name != "" {
 			res.Model = r.Name
 		}

@@ -36,6 +36,24 @@ func (c Config) n() int {
 type Model struct {
 	cfg  Config
 	rank *popularity.Ranking
+	// top is exactly rank.Top(n+1) with each URL's count, kept by
+	// TrainSequence so Predict never sorts the ranking. Counts only
+	// grow, so one access can only move the accessed URL, and only up.
+	top []ranked
+}
+
+// ranked is one entry of the kept Top-(n+1) prefix.
+type ranked struct {
+	url   string
+	count int64
+}
+
+// before is the ranking's order: descending count, ascending URL.
+func (a ranked) before(b ranked) bool {
+	if a.count != b.count {
+		return a.count > b.count
+	}
+	return a.url < b.url
 }
 
 var _ markov.Predictor = (*Model)(nil)
@@ -54,7 +72,32 @@ func (m *Model) Name() string { return "Top-10" }
 func (m *Model) TrainSequence(seq []string) {
 	for _, u := range seq {
 		m.rank.Observe(u, 1)
+		m.bump(ranked{url: u, count: m.rank.Count(u)})
 	}
+}
+
+// bump moves a URL whose count just grew to its place in the kept
+// prefix. Only e changed, so the prefix either keeps its members or e
+// displaces the last one.
+func (m *Model) bump(e ranked) {
+	i := 0
+	for i < len(m.top) && m.top[i].url != e.url {
+		i++
+	}
+	switch {
+	case i < len(m.top):
+	case len(m.top) < m.cfg.n()+1:
+		m.top = append(m.top, e)
+	case e.before(m.top[i-1]):
+		i--
+	default:
+		return
+	}
+	for i > 0 && e.before(m.top[i-1]) {
+		m.top[i] = m.top[i-1]
+		i--
+	}
+	m.top[i] = e
 }
 
 // Predict returns the top-N popular documents with their relative
@@ -67,23 +110,24 @@ func (m *Model) Predict(context []string) []markov.Prediction {
 }
 
 // PredictInto is Predict writing into buf per the
-// markov.BufferedPredictor buffer-ownership contract (the ranking
-// lookup itself still allocates its top-N scratch).
+// markov.BufferedPredictor buffer-ownership contract. It reads the kept
+// Top-(n+1) prefix, so it allocates nothing once buf is warm.
 func (m *Model) PredictInto(context []string, buf []markov.Prediction) []markov.Prediction {
 	buf = buf[:0]
 	cur := ""
 	if len(context) > 0 {
 		cur = context[len(context)-1]
 	}
-	for _, u := range m.rank.Top(m.cfg.n() + 1) {
-		if u == cur {
+	mostCount := float64(m.rank.MaxCount())
+	for _, e := range m.top {
+		if e.url == cur {
 			continue
 		}
-		rp := m.rank.Relative(u)
+		rp := float64(e.count) / mostCount
 		if rp < m.cfg.MinRelative {
 			continue
 		}
-		buf = append(buf, markov.Prediction{URL: u, Probability: rp, Order: 0})
+		buf = append(buf, markov.Prediction{URL: e.url, Probability: rp, Order: 0})
 		if len(buf) == m.cfg.n() {
 			break
 		}
@@ -95,5 +139,7 @@ func (m *Model) PredictInto(context []string, buf []markov.Prediction) []markov.
 // distinct document, the cheapest of all the models.
 func (m *Model) NodeCount() int { return m.rank.Len() }
 
-// Ranking exposes the underlying popularity state.
+// Ranking exposes the underlying popularity state. It is read-only:
+// counts observed into it directly would bypass the kept prefix, so
+// train through TrainSequence.
 func (m *Model) Ranking() *popularity.Ranking { return m.rank }

@@ -1,6 +1,9 @@
 package topn
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"pbppm/internal/markov"
@@ -100,5 +103,66 @@ func TestPredictorInterface(t *testing.T) {
 	p.TrainSequence([]string{"/a", "/b"})
 	if p.Name() != "Top-10" || p.NodeCount() != 2 {
 		t.Error("interface conformance broken")
+	}
+}
+
+// TestKeptPrefixMatchesRankingTop: after every TrainSequence the kept
+// prefix is exactly rank.Top(n+1) with the ranking's counts, on random
+// sessions over a small alphabet so count ties are frequent, and
+// PredictInto equals the prediction computed from a full sort.
+func TestKeptPrefixMatchesRankingTop(t *testing.T) {
+	for _, n := range []int{1, 2, 10} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		m := New(Config{N: n})
+		for i := 0; i < 400; i++ {
+			s := make([]string, rng.Intn(5)+1)
+			for j := range s {
+				s[j] = fmt.Sprintf("/u%d", rng.Intn(3*n+4))
+			}
+			m.TrainSequence(s)
+
+			want := m.rank.Top(n + 1)
+			if len(m.top) != len(want) {
+				t.Fatalf("N=%d step %d: kept %d URLs, Top has %d", n, i, len(m.top), len(want))
+			}
+			for k, u := range want {
+				if m.top[k].url != u || m.top[k].count != m.rank.Count(u) {
+					t.Fatalf("N=%d step %d: kept[%d] = %+v, Top has %s/%d",
+						n, i, k, m.top[k], u, m.rank.Count(u))
+				}
+			}
+			cur := []string{s[len(s)-1]}
+			if got, ref := m.Predict(cur), sortedPredict(m, cur); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("N=%d step %d: Predict = %+v, full sort gives %+v", n, i, got, ref)
+			}
+		}
+	}
+}
+
+// sortedPredict is Predict computed from a full sort of the ranking.
+func sortedPredict(m *Model, context []string) []markov.Prediction {
+	var out []markov.Prediction
+	for _, u := range m.rank.Top(m.cfg.n() + 1) {
+		if u == context[len(context)-1] || m.rank.Relative(u) < m.cfg.MinRelative {
+			continue
+		}
+		out = append(out, markov.Prediction{URL: u, Probability: m.rank.Relative(u)})
+		if len(out) == m.cfg.n() {
+			break
+		}
+	}
+	return out
+}
+
+// TestPredictIntoAllocatesNothing: with a warm buffer PredictInto only
+// reads the kept prefix.
+func TestPredictIntoAllocatesNothing(t *testing.T) {
+	m := New(Config{})
+	train(m)
+	buf := m.PredictInto([]string{"/hot"}, nil)
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = m.PredictInto([]string{"/hot"}, buf)
+	}); allocs != 0 {
+		t.Errorf("PredictInto allocates %v times per call", allocs)
 	}
 }
