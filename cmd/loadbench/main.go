@@ -21,7 +21,8 @@
 // Usage:
 //
 //	loadbench -server http://127.0.0.1:8080 [-admin http://127.0.0.1:8081]
-//	          [-profile nasa|ucbcs] [-pages N] [-seed N] [-clients N]
+//	          [-profile nasa|ucbcs] [-pages N]
+//	          [-seed N] [-clients N]
 //	          [-timeout 5s] [-self-admin addr]
 //	          -mode steady|sweep|burst|diurnal
 //	          [-rps 50] [-duration 60s] [-slot 10s]
@@ -34,15 +35,11 @@
 //	          [-max-lag-p99 0] [-bench-out BENCH_capacity.json]
 //	          [-bench-robust] [-compare baseline.json]
 //	          [-tol-wall 0.5] [-tol-metric 0.05] [-workload-name name]
-//	          [-cluster N | -cluster-sweep 1,2,4] [-rebalance join|leave]
-//	          [-warm-days 2]
 //
-// Cluster modes boot an in-process consistent-hash sharded cluster
-// (internal/cluster) instead of targeting -server: -cluster N drives
-// one N-shard cluster, -cluster-sweep runs the scenario against a
-// fresh cluster per shard count and records one artifact record each,
-// and -rebalance joins or removes a shard halfway through a single
-// -cluster run, reporting the sessions remapped and hints orphaned.
+// -server may be any deployment that speaks the prefetching protocol:
+// one prefetchd, or cmd/prefetchrouter in front of several. -profile
+// and -pages must match the flags the servers were booted with, or the
+// virtual clients walk a different site and 404.
 //
 // Exit codes: 0 ok, 1 run error, 2 bad flags, 3 regression vs the
 // -compare baseline, 4 the -max-lag-p99 self-gate tripped, 5 the
@@ -55,16 +52,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"net/http"
 
 	"pbppm/internal/benchreport"
-	"pbppm/internal/cluster"
 	"pbppm/internal/loadgen"
 	"pbppm/internal/metrics"
 	"pbppm/internal/obs"
@@ -81,7 +74,6 @@ func realMain() int {
 		adminURL  = flag.String("admin", "", "server admin root URL; polls /debug/slo at slot boundaries when set")
 		profile   = flag.String("profile", "nasa", "site profile the server was booted with: nasa or ucbcs")
 		pages     = flag.Int("pages", 0, "override the profile's page count (must match the server's -pages)")
-		sessDay   = flag.Int("sessions-per-day", 0, "override the profile's mean sessions per day of warm history (cluster modes)")
 		seed      = flag.Int64("seed", 1, "RNG seed for the request sequence (same seed = same sequence)")
 		clients   = flag.Int("clients", 100, "warm virtual-client pool size")
 		timeout   = flag.Duration("timeout", 5*time.Second, "per-request timeout")
@@ -101,11 +93,6 @@ func realMain() int {
 		burstCold  = flag.Float64("burst-cold", 0.5, "burst: fraction of burst arrivals from never-seen clients")
 		diSlots    = flag.Int("diurnal-slots", 12, "diurnal: slots per compressed day")
 		coldShare  = flag.Float64("cold", 0, "fraction of arrivals from never-seen clients (all modes)")
-
-		clusterN     = flag.Int("cluster", 0, "boot an in-process N-shard cluster and drive it instead of -server; 0 targets -server")
-		clusterSweep = flag.String("cluster-sweep", "", "comma-separated shard counts (e.g. \"1,2,4\"): run -mode against a fresh cluster per count, one artifact record each")
-		rebalance    = flag.String("rebalance", "", "with -cluster: \"join\" or \"leave\" a shard halfway through the run and report the remap cost")
-		warmDays     = flag.Int("warm-days", 2, "cluster modes: days of warm-training history for the booted cluster")
 
 		findMax  = flag.Bool("find-max", false, "binary-search the max sustainable RPS instead of running -mode")
 		fmStart  = flag.Float64("fm-start", 25, "find-max: starting rate")
@@ -145,9 +132,6 @@ func realMain() int {
 	}
 	if *pages > 0 {
 		p.Pages = *pages
-	}
-	if *sessDay > 0 {
-		p.SessionsPerDay = *sessDay
 	}
 	site, err := tracegen.BuildSite(p)
 	if err != nil {
@@ -219,92 +203,67 @@ func realMain() int {
 		wname = p.Name
 	}
 
-	var overallLag time.Duration
-	clusterCounts, err := parseClusterCounts(*clusterSweep, *clusterN)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadbench: %v\n", err)
-		return 2
-	}
-	if clusterCounts != nil {
-		if *rebalance != "" && (len(clusterCounts) != 1 || *findMax) {
-			fmt.Fprintln(os.Stderr, "loadbench: -rebalance needs a single -cluster N scenario run")
-			return 2
+	var (
+		overallLag time.Duration
+		runResult  *loadgen.Result
+		fm         *loadgen.FindMaxResult
+		experiment string
+	)
+	m, err := benchreport.Measure(func() error {
+		if *findMax {
+			experiment = "capacity-findmax"
+			var err error
+			fm, err = gen.FindMax(ctx, *fmStart, *fmTrial, gate)
+			return err
 		}
-		code := runClusterBench(ctx, clusterOpts{
-			site: site, profile: p, counts: clusterCounts,
-			warmDays: *warmDays, clients: *clients, seed: *seed, timeout: *timeout,
-			scenario: buildScenario, findMax: *findMax, fmStart: *fmStart,
-			fmTrial: *fmTrial, gate: gate, rebalance: *rebalance, mode: *mode,
-			robust: *benchRobust, wname: wname,
-			logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "loadbench: "+format+"\n", args...)
-			},
-		}, report)
-		if code != 0 {
-			return code
+		experiment = "capacity-" + *mode
+		sc, err := buildScenario()
+		if err != nil {
+			return err
+		}
+		runResult, err = gen.Run(ctx, sc)
+		return err
+	})
+	if err != nil {
+		return fail(err)
+	}
+
+	rec := benchreport.Record{
+		Experiment:  experiment,
+		Workload:    wname,
+		WallSeconds: m.Wall.Seconds(),
+		AllocBytes:  m.AllocBytes,
+		Metrics:     map[string]float64{},
+	}
+
+	if fm != nil {
+		printFindMax(fm)
+		rec.Metrics["max_sustainable_rps"] = fm.MaxSustainableRPS
+		for _, t := range fm.Trials {
+			overallLag = maxDur(overallLag, t.Result.Lag.Quantile(0.999))
+		}
+		if fm.GeneratorLimited {
+			fmt.Fprintln(os.Stderr, "loadbench: search was GENERATOR-LIMITED: the reported capacity is a lower bound")
+			return 5
 		}
 	} else {
-		var (
-			runResult  *loadgen.Result
-			fm         *loadgen.FindMaxResult
-			experiment string
-		)
-		m, err := benchreport.Measure(func() error {
-			if *findMax {
-				experiment = "capacity-findmax"
-				var err error
-				fm, err = gen.FindMax(ctx, *fmStart, *fmTrial, gate)
-				return err
-			}
-			experiment = "capacity-" + *mode
-			sc, err := buildScenario()
-			if err != nil {
-				return err
-			}
-			runResult, err = gen.Run(ctx, sc)
-			return err
-		})
-		if err != nil {
-			return fail(err)
+		printRun(runResult)
+		lat, lag := runResult.Latency(), runResult.Lag()
+		rec.Events = runResult.Completed()
+		if m.Wall > 0 {
+			rec.EventsPerSec = float64(runResult.Completed()) / m.Wall.Seconds()
 		}
-
-		rec := benchreport.Record{
-			Experiment:  experiment,
-			Workload:    wname,
-			WallSeconds: m.Wall.Seconds(),
-			AllocBytes:  m.AllocBytes,
-			Metrics:     map[string]float64{},
+		rec.Metrics["achieved_rps"] = runResult.AchievedRPS()
+		rec.Metrics["error_rate"] = runResult.ErrorRate()
+		if !*benchRobust {
+			rec.Metrics["latency_p50_seconds"] = lat.Quantile(0.50).Seconds()
+			rec.Metrics["latency_p99_seconds"] = lat.Quantile(0.99).Seconds()
+			rec.Metrics["latency_p999_seconds"] = lat.Quantile(0.999).Seconds()
+			rec.Metrics["lag_p99_seconds"] = lag.Quantile(0.99).Seconds()
 		}
-
-		if fm != nil {
-			printFindMax(fm)
-			rec.Metrics["max_sustainable_rps"] = fm.MaxSustainableRPS
-			for _, t := range fm.Trials {
-				overallLag = maxDur(overallLag, t.Result.Lag.Quantile(0.999))
-			}
-			if fm.GeneratorLimited {
-				fmt.Fprintln(os.Stderr, "loadbench: search was GENERATOR-LIMITED: the reported capacity is a lower bound")
-				return 5
-			}
-		} else {
-			printRun(runResult)
-			lat, lag := runResult.Latency(), runResult.Lag()
-			rec.Events = runResult.Completed()
-			if m.Wall > 0 {
-				rec.EventsPerSec = float64(runResult.Completed()) / m.Wall.Seconds()
-			}
-			rec.Metrics["achieved_rps"] = runResult.AchievedRPS()
-			rec.Metrics["error_rate"] = runResult.ErrorRate()
-			if !*benchRobust {
-				rec.Metrics["latency_p50_seconds"] = lat.Quantile(0.50).Seconds()
-				rec.Metrics["latency_p99_seconds"] = lat.Quantile(0.99).Seconds()
-				rec.Metrics["latency_p999_seconds"] = lat.Quantile(0.999).Seconds()
-				rec.Metrics["lag_p99_seconds"] = lag.Quantile(0.99).Seconds()
-			}
-			overallLag = lag.Quantile(0.99)
-		}
-		report.Add(rec)
+		overallLag = lag.Quantile(0.99)
 	}
+	report.Add(rec)
 
 	if *benchOut != "" {
 		if err := benchreport.WriteFile(*benchOut, report); err != nil {
@@ -330,194 +289,6 @@ func realMain() int {
 		fmt.Fprintf(os.Stderr, "loadbench: schedule lag p99 %v exceeds -max-lag-p99 %v: the generator could not hold the schedule\n",
 			overallLag, *maxLagP99)
 		return 4
-	}
-	return 0
-}
-
-// parseClusterCounts resolves -cluster/-cluster-sweep into the shard
-// counts to bench; nil means cluster mode is off.
-func parseClusterCounts(sweep string, single int) ([]int, error) {
-	if sweep != "" {
-		var counts []int
-		for _, f := range strings.Split(sweep, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("bad -cluster-sweep entry %q", f)
-			}
-			counts = append(counts, n)
-		}
-		return counts, nil
-	}
-	if single > 0 {
-		return []int{single}, nil
-	}
-	return nil, nil
-}
-
-// clusterOpts carries the flag state into the cluster bench loop.
-type clusterOpts struct {
-	site      *tracegen.Site
-	profile   tracegen.Profile
-	counts    []int
-	warmDays  int
-	clients   int
-	seed      int64
-	timeout   time.Duration
-	scenario  func() (loadgen.Scenario, error)
-	findMax   bool
-	fmStart   float64
-	fmTrial   time.Duration
-	gate      loadgen.Gate
-	rebalance string
-	mode      string
-	robust    bool
-	wname     string
-	logf      func(string, ...any)
-}
-
-// runClusterBench boots a fresh in-process cluster per shard count,
-// drives the selected scenario (or find-max search) against its
-// router, and appends one record per count — the aggregate capacity
-// curve across cluster sizes. With -rebalance, a shard joins or leaves
-// halfway through the single run and the remap cost lands in the
-// record and on stderr.
-func runClusterBench(ctx context.Context, o clusterOpts, report *benchreport.Report) int {
-	fail := func(err error) int {
-		fmt.Fprintf(os.Stderr, "loadbench: %v\n", err)
-		return 1
-	}
-	for _, n := range o.counts {
-		h, err := loadgen.BootCluster(loadgen.ClusterConfig{
-			Shards:   n,
-			Site:     o.site,
-			Profile:  o.profile,
-			WarmDays: o.warmDays,
-			Obs:      obs.NewRegistry(),
-			Logf:     o.logf,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		gen, err := loadgen.New(loadgen.Config{
-			ServerURL: h.URL,
-			Site:      o.site,
-			Profile:   o.profile,
-			Clients:   o.clients,
-			Seed:      o.seed,
-			Timeout:   o.timeout,
-			Obs:       obs.NewRegistry(),
-			Logf:      o.logf,
-		})
-		if err != nil {
-			h.Close()
-			return fail(err)
-		}
-
-		// Schedule the mid-run rebalance before traffic starts.
-		var rebMu sync.Mutex
-		var rebRep *cluster.RebalanceReport
-		var rebTimer *time.Timer
-		if o.rebalance != "" {
-			sc, err := o.scenario()
-			if err != nil {
-				h.Close()
-				return fail(err)
-			}
-			var total time.Duration
-			for _, s := range sc.Slots {
-				total += s.Duration
-			}
-			clu := h.Cluster
-			rebTimer = time.AfterFunc(total/2, func() {
-				var rep cluster.RebalanceReport
-				var err error
-				switch o.rebalance {
-				case "join":
-					_, rep = clu.AddShard()
-				case "leave":
-					ids := clu.ShardIDs()
-					rep, err = clu.RemoveShard(ids[len(ids)-1])
-				}
-				rebMu.Lock()
-				defer rebMu.Unlock()
-				if err != nil {
-					o.logf("rebalance %s failed: %v", o.rebalance, err)
-					return
-				}
-				rebRep = &rep
-			})
-		}
-
-		var (
-			runResult  *loadgen.Result
-			fm         *loadgen.FindMaxResult
-			experiment string
-		)
-		m, err := benchreport.Measure(func() error {
-			if o.findMax {
-				experiment = "cluster-findmax"
-				var err error
-				fm, err = gen.FindMax(ctx, o.fmStart, o.fmTrial, o.gate)
-				return err
-			}
-			experiment = "cluster-capacity-" + o.mode
-			sc, err := o.scenario()
-			if err != nil {
-				return err
-			}
-			runResult, err = gen.Run(ctx, sc)
-			return err
-		})
-		if rebTimer != nil {
-			rebTimer.Stop()
-		}
-		st := h.Cluster.Stats()
-		h.Close()
-		if err != nil {
-			return fail(err)
-		}
-
-		rec := benchreport.Record{
-			Experiment:  experiment,
-			Workload:    fmt.Sprintf("%s-shards%d", o.wname, n),
-			WallSeconds: m.Wall.Seconds(),
-			AllocBytes:  m.AllocBytes,
-			Metrics:     map[string]float64{"shards": float64(n)},
-		}
-		if fm != nil {
-			printFindMax(fm)
-			rec.Metrics["max_sustainable_rps"] = fm.MaxSustainableRPS
-			if fm.GeneratorLimited {
-				fmt.Fprintln(os.Stderr, "loadbench: search was GENERATOR-LIMITED: the reported capacity is a lower bound")
-				return 5
-			}
-		} else {
-			printRun(runResult)
-			lat, lag := runResult.Latency(), runResult.Lag()
-			rec.Events = runResult.Completed()
-			if m.Wall > 0 {
-				rec.EventsPerSec = float64(runResult.Completed()) / m.Wall.Seconds()
-			}
-			rec.Metrics["achieved_rps"] = runResult.AchievedRPS()
-			rec.Metrics["error_rate"] = runResult.ErrorRate()
-			if !o.robust {
-				rec.Metrics["latency_p50_seconds"] = lat.Quantile(0.50).Seconds()
-				rec.Metrics["latency_p99_seconds"] = lat.Quantile(0.99).Seconds()
-				rec.Metrics["latency_p999_seconds"] = lat.Quantile(0.999).Seconds()
-				rec.Metrics["lag_p99_seconds"] = lag.Quantile(0.99).Seconds()
-			}
-		}
-		fmt.Printf("cluster shards=%d: demand %d, hints issued %d, hint hits %d, reports unmatched %d\n",
-			n, st.DemandRequests, st.HintsIssued, st.HintHits, st.HintReportsUnmatched)
-		rebMu.Lock()
-		if rebRep != nil {
-			rec.Metrics["sessions_remapped"] = float64(rebRep.SessionsRemapped)
-			rec.Metrics["hints_orphaned"] = float64(rebRep.HintsOrphaned)
-			fmt.Printf("rebalance %s (shard %d, %d shards after): %d sessions remapped, %d hints orphaned\n",
-				rebRep.Kind, rebRep.Shard, rebRep.ShardsAfter, rebRep.SessionsRemapped, rebRep.HintsOrphaned)
-		}
-		rebMu.Unlock()
-		report.Add(rec)
 	}
 	return 0
 }

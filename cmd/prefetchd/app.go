@@ -8,17 +8,13 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
-	"pbppm/internal/cluster"
 	"pbppm/internal/core"
 	"pbppm/internal/maintain"
 	"pbppm/internal/markov"
 	"pbppm/internal/obs"
 	"pbppm/internal/popularity"
-	"pbppm/internal/quality"
 	"pbppm/internal/server"
 	"pbppm/internal/session"
 	"pbppm/internal/tracegen"
@@ -48,14 +44,9 @@ type appConfig struct {
 	sessionsPerDay int
 	// maxHints overrides the per-response hint cap when positive.
 	maxHints int
-	// shards > 1 serves through an in-process consistent-hash cluster
-	// (internal/cluster): a router tier hashing client identity onto
-	// that many shard servers, each holding the replicated model.
-	shards int
-	// routerAddr names a trusted upstream router host. In single-server
-	// mode the server honors X-Client-ID only from this peer; in
-	// cluster mode it is the cluster router's own ingress trust. Empty
-	// keeps the legacy trust-any-peer contract.
+	// routerAddr names a trusted upstream router host: the server
+	// honors X-Client-ID only from this peer. Empty keeps the legacy
+	// trust-any-peer contract.
 	routerAddr string
 	// snapshotAddr, when set, runs this process as a snapshot follower:
 	// instead of training locally it polls the named publisher endpoint
@@ -68,20 +59,6 @@ type appConfig struct {
 	// follower default. Each poll long-polls the publisher, so a new
 	// version normally propagates in one round trip.
 	snapshotPoll time.Duration
-}
-
-// serving abstracts the request tier — one server.Server, or the
-// cluster router in front of N of them. Everything the app reads or
-// publishes goes through this surface, so both deployments share the
-// maintenance loop, SLO engine, and admin endpoints.
-type serving interface {
-	http.Handler
-	Stats() server.Stats
-	QualityTotal() quality.Snapshot
-	ExpireSessions() int
-	BindSLIs(*obs.SLOEngine)
-	SetPredictor(markov.Predictor)
-	SetGrader(popularity.Grader)
 }
 
 // defaultSLO is the out-of-the-box objective set: demand latency plus
@@ -99,9 +76,7 @@ type app struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
 	maint  *maintain.Maintainer
-	srv    *server.Server    // single-server mode; nil when sharded
-	clu    *cluster.Cluster  // cluster mode; nil when single-server
-	serve  serving           // whichever of srv/clu is active
+	srv    *server.Server
 	engine *obs.SLOEngine
 	ann    *obs.Annotations
 	pub    *maintain.Publisher // serves /snapshot; nil in follower mode
@@ -200,26 +175,24 @@ func newApp(cfg appConfig, logger *slog.Logger) (*app, error) {
 	factory := func(rank *popularity.Ranking) markov.Predictor {
 		return core.New(rank, core.Config{RelProbCutoff: 0.01, DropSingletons: true})
 	}
-	// The serving tier is constructed after the maintainer (the warm
-	// model feeds its Config), so OnPublish closes over the app; the
-	// serve field is assigned before the maintenance loop publishes.
+	// The server is constructed after the maintainer (the warm model
+	// feeds its Config), so OnPublish closes over the app; the srv
+	// field is assigned before the maintenance loop publishes.
 	a.maint, err = maintain.New(maintain.Config{
 		Factory:     factory,
 		Obs:         a.reg,
 		Logger:      logger,
 		Annotations: a.ann,
 		OnPublish: func(p markov.Predictor) {
-			if a.serve == nil {
+			if a.srv == nil {
 				return
 			}
-			// In cluster mode this fans the frozen arena snapshot out to
-			// every shard; each swaps its predictor pointer atomically.
-			a.serve.SetPredictor(p)
+			a.srv.SetPredictor(p)
 			// Compactions re-derive the popularity ranking; regrade
 			// live hint events with the one the new model was built
 			// from. Delta merges keep the previous ranking.
 			if r := a.maint.Ranking(); r != nil {
-				a.serve.SetGrader(r)
+				a.srv.SetGrader(r)
 			}
 		},
 	})
@@ -274,8 +247,7 @@ func newApp(cfg appConfig, logger *slog.Logger) (*app, error) {
 		MaxHints:   cfg.maxHints,
 		Grades:     a.maint.Ranking(),
 		// Completed live sessions flow into the maintenance window so
-		// rebuilds track real traffic. Maintainer.Observe locks, so the
-		// callback is safe shared across cluster shards.
+		// rebuilds track real traffic.
 		OnSessionEnd: func(client string, urls []string, last time.Time) {
 			s := session.Session{Client: client}
 			for i, u := range urls {
@@ -292,31 +264,14 @@ func newApp(cfg appConfig, logger *slog.Logger) (*app, error) {
 		// accumulate in a window no rebuild will ever read.
 		sc.OnSessionEnd = nil
 	}
-	var trusted []string
 	if cfg.routerAddr != "" {
-		trusted = []string{cfg.routerAddr}
+		sc.TrustedPeers = []string{cfg.routerAddr}
 	}
-	if cfg.shards > 1 {
-		a.clu, err = cluster.New(cluster.Config{
-			Shards:       cfg.shards,
-			Store:        store,
-			ShardConfig:  sc,
-			Obs:          a.reg,
-			TrustedPeers: trusted,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("creating cluster: %w", err)
-		}
-		a.serve = a.clu
-	} else {
-		sc.TrustedPeers = trusted
-		a.srv = server.New(store, sc)
-		a.serve = a.srv
-	}
-	a.serve.BindSLIs(a.engine)
+	a.srv = server.New(store, sc)
+	a.srv.BindSLIs(a.engine)
 
 	mux := http.NewServeMux()
-	mux.Handle("/", a.serve)
+	mux.Handle("/", a.srv)
 	a.web = &http.Server{Handler: mux}
 
 	admin := obs.NewAdminMux(a.reg, nil)
@@ -330,29 +285,10 @@ func newApp(cfg appConfig, logger *slog.Logger) (*app, error) {
 		admin.Handle("/snapshot", a.pub)
 	}
 	admin.HandleFunc("/debug/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeStats(w, a.serve.Stats(), a.maint.Rebuilds(), a.maint.DeltaMerges())
+		writeStats(w, a.srv.Stats(), a.maint.Rebuilds(), a.maint.DeltaMerges())
 	})
 	admin.Handle("/debug/traces", a.tracer.TracesHandler())
 	admin.Handle("/debug/slo", a.engine.Handler())
-	if a.clu != nil {
-		// Shard servers expose their metrics on per-shard registries;
-		// mount each under /debug/shard/<id>/metrics.
-		admin.HandleFunc("/debug/shard/", func(w http.ResponseWriter, r *http.Request) {
-			rest := strings.TrimPrefix(r.URL.Path, "/debug/shard/")
-			idStr, tail, _ := strings.Cut(rest, "/")
-			id, err := strconv.Atoi(idStr)
-			if err != nil || tail != "metrics" {
-				http.NotFound(w, r)
-				return
-			}
-			reg := a.clu.ShardRegistry(id)
-			if reg == nil {
-				http.NotFound(w, r)
-				return
-			}
-			reg.Handler().ServeHTTP(w, r)
-		})
-	}
 	if cfg.adminAddr != "" {
 		a.admin = &http.Server{Handler: admin}
 	}
@@ -398,12 +334,8 @@ func (a *app) run(ctx context.Context) error {
 
 	errs := make(chan error, 2)
 	go func() { errs <- a.web.Serve(a.webLn) }()
-	shards := 1
-	if a.clu != nil {
-		shards = len(a.clu.ShardIDs())
-	}
 	a.log.Info("serving", "pages", a.pages, "addr", a.webLn.Addr().String(),
-		"profile", a.profile.Name, "shards", shards,
+		"profile", a.profile.Name,
 		"delta_interval", a.cfg.deltaEvery,
 		"compact_interval", a.cfg.compactNear)
 	if a.adminLn != nil {
@@ -443,7 +375,7 @@ func (a *app) run(ctx context.Context) error {
 // scored against real client reports), and each SLO objective's
 // burn-rate state.
 func (a *app) logFinal() {
-	st := a.serve.Stats()
+	st := a.srv.Stats()
 	a.log.Info("final stats",
 		"demand", st.DemandRequests,
 		"prefetch", st.PrefetchRequests,
@@ -454,7 +386,7 @@ func (a *app) logFinal() {
 		"sessions", st.SessionsStarted,
 		"rebuilds", a.maint.Rebuilds(),
 		"delta_merges", a.maint.DeltaMerges())
-	q := a.serve.QualityTotal()
+	q := a.srv.QualityTotal()
 	a.log.Info("final quality",
 		"requests", q.Requests,
 		"prefetched_docs", q.PrefetchedDocs,
@@ -493,7 +425,7 @@ func (a *app) maintLoop(ctx context.Context) {
 			case <-stop:
 				return
 			case <-ticker.C:
-				a.serve.ExpireSessions()
+				a.srv.ExpireSessions()
 			}
 		}
 	}()

@@ -15,7 +15,7 @@
 //	          [-slo "name=...,kind=...,target=..."] [-slo-file path]
 //	          [-live-window 5m] [-warm-days 3]
 //	          [-pages N] [-sessions-per-day N] [-max-hints N]
-//	          [-shards N] [-router-addr host]
+//	          [-router-addr host]
 //	          [-snapshot-addr URL] [-snapshot-poll 5s]
 //
 // -pages, -sessions-per-day, and -warm-days shrink the synthetic site
@@ -23,18 +23,12 @@
 // must be given the same -pages so its walkers navigate the same
 // site).
 //
-// -shards N (N > 1) serves through an in-process consistent-hash
-// cluster: a router hashes each request's client identity onto one of
-// N shard servers, every shard holds the replicated frozen model, and
-// published model updates fan out to all shards. Per-shard metrics are
-// exposed on the admin listener at /debug/shard/<id>/metrics; the
-// process-level /metrics carries the routing-tier series
-// (pbppm_shard_requests_total, pbppm_cluster_*). -router-addr names
-// the one upstream host allowed to assert X-Client-ID (an outer load
-// balancer or a standalone router); unset, any peer may assert it.
+// -router-addr names the one upstream host allowed to assert
+// X-Client-ID (a cmd/prefetchrouter or an outer load balancer); unset,
+// any peer may assert it.
 //
-// Multi-process topologies distribute the model over the snapshot
-// channel. The training process (the publisher) serves its current
+// Sharded deployments run one process per shard and distribute the
+// model over the snapshot channel. The training process (the publisher) serves its current
 // frozen model on the admin listener at /snapshot — versioned, ETagged,
 // long-pollable, checksummed. A process started with -snapshot-addr
 // pointing at a publisher's /snapshot runs as a follower: it trains
@@ -42,7 +36,8 @@
 // validates each downloaded image end to end, and installs the model
 // and its popularity ranking atomically — a corrupt or truncated
 // download keeps the previous model live. Put cmd/prefetchrouter in
-// front of the followers to consistent-hash clients across them.
+// front of the followers, each booted with -router-addr naming the
+// router's host, to consistent-hash clients across them.
 //
 // The admin listener serves /metrics (Prometheus text exposition),
 // /healthz, /debug/pprof, /debug/stats, /debug/traces, and /debug/slo
@@ -90,7 +85,6 @@ func main() {
 	flag.IntVar(&cfg.pages, "pages", 0, "override the profile's page count (load generators must match)")
 	flag.IntVar(&cfg.sessionsPerDay, "sessions-per-day", 0, "override the profile's mean sessions per day of warm history")
 	flag.IntVar(&cfg.maxHints, "max-hints", 0, "override the per-response X-Prefetch hint cap (0 = server default)")
-	flag.IntVar(&cfg.shards, "shards", 1, "serve through an in-process consistent-hash cluster of N shards (1 = single server)")
 	flag.StringVar(&cfg.routerAddr, "router-addr", "", "trusted upstream host allowed to assert X-Client-ID (empty trusts any peer)")
 	flag.StringVar(&cfg.snapshotAddr, "snapshot-addr", "", "snapshot publisher endpoint to follow, e.g. http://10.0.0.1:8081/snapshot; set, this process trains nothing and installs the publisher's models")
 	flag.DurationVar(&cfg.snapshotPoll, "snapshot-poll", 5*time.Second, "snapshot follower poll interval")

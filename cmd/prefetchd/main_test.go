@@ -189,129 +189,6 @@ func TestGracefulShutdownUnderScrapes(t *testing.T) {
 	}
 }
 
-// TestClusterModeServesAndExposesShards boots the daemon with
-// -shards 3: demand traffic from several client identities must be
-// served through the router, the process exposition must carry the
-// routing-tier series, each shard's registry must be mounted under
-// /debug/shard/<id>/metrics, and /debug/stats must aggregate across
-// shards. The short delta interval also exercises the publish fan-out
-// to all shards while traffic is in flight.
-func TestClusterModeServesAndExposesShards(t *testing.T) {
-	cfg := testConfig()
-	cfg.shards = 3
-	logBuf := &syncBuffer{}
-	a, err := newApp(cfg, obs.NewLogger(logBuf, slog.LevelInfo))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.listen(); err != nil {
-		t.Fatal(err)
-	}
-	webURL := "http://" + a.webLn.Addr().String()
-	adminURL := "http://" + a.adminLn.Addr().String()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- a.run(ctx) }()
-
-	get := func(url string) (string, error) {
-		resp, err := http.Get(url)
-		if err != nil {
-			return "", err
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		return string(body), err
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if body, err := get(adminURL + "/healthz"); err == nil && strings.Contains(body, "ok") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("admin listener never became healthy")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	// Enough distinct identities that every shard owns at least one.
-	// These paths exist in every NASA-profile site build.
-	pages := []string{"/d0/page0000.html", "/d1/page0001.html",
-		"/d1/page0002.html", "/d1/page0003.html"}
-	client := &http.Client{Timeout: 2 * time.Second}
-	for c := 0; c < 12; c++ {
-		for _, pg := range pages {
-			req, _ := http.NewRequest(http.MethodGet, webURL+pg, nil)
-			req.Header.Set("X-Client-ID", fmt.Sprintf("cluster-client-%d", c))
-			resp, err := client.Do(req)
-			if err != nil {
-				t.Fatalf("demand request: %v", err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("demand request status %d", resp.StatusCode)
-			}
-		}
-	}
-	// Let at least one delta publish fan out to the shards.
-	time.Sleep(150 * time.Millisecond)
-
-	metrics, err := get(adminURL + "/metrics")
-	if err != nil {
-		t.Fatalf("scraping /metrics: %v", err)
-	}
-	if err := obs.ValidateExposition(metrics); err != nil {
-		t.Errorf("router exposition invalid: %v", err)
-	}
-	for _, want := range []string{"pbppm_cluster_shards 3", `pbppm_shard_requests_total{shard="0"}`} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("router exposition missing %s", want)
-		}
-	}
-	for _, id := range []string{"0", "1", "2"} {
-		body, err := get(adminURL + "/debug/shard/" + id + "/metrics")
-		if err != nil {
-			t.Fatalf("scraping shard %s metrics: %v", id, err)
-		}
-		if err := obs.ValidateExposition(body); err != nil {
-			t.Errorf("shard %s exposition invalid: %v", id, err)
-		}
-		if !strings.Contains(body, `pbppm_http_requests_total{kind="demand"}`) {
-			t.Errorf("shard %s exposition missing demand counter", id)
-		}
-	}
-	if body, _ := get(adminURL + "/debug/shard/9/metrics"); !strings.Contains(body, "not found") {
-		t.Errorf("unknown shard id should 404, got %q", body)
-	}
-
-	stats, err := get(adminURL + "/debug/stats")
-	if err != nil {
-		t.Fatalf("fetching /debug/stats: %v", err)
-	}
-	if !strings.Contains(stats, "demand 48") {
-		t.Errorf("/debug/stats should aggregate 48 demand requests across shards:\n%s", stats)
-	}
-
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("run did not drain and return after cancel")
-	}
-	logs := logBuf.String()
-	if !strings.Contains(logs, `"shards":3`) && !strings.Contains(logs, "shards=3") {
-		t.Errorf("serving log line missing shard count:\n%s", logs)
-	}
-	if !strings.Contains(logs, "final stats") {
-		t.Error("shutdown log missing final stats")
-	}
-}
-
 // TestLoadObjectivesFile: -slo-file overrides -slo and accepts the
 // newline/comment grammar.
 func TestLoadObjectivesFile(t *testing.T) {

@@ -8,12 +8,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"pbppm/internal/core"
 	"pbppm/internal/obs"
 	"pbppm/internal/popularity"
-	"pbppm/internal/quality"
 	"pbppm/internal/server"
 )
 
@@ -46,18 +44,6 @@ func trainedModel() *core.Model {
 		m.TrainSequence([]string{"/sports", "/blog"})
 	}
 	return m
-}
-
-func get(t *testing.T, h http.Handler, url, remoteAddr, clientHeader string) *httptest.ResponseRecorder {
-	t.Helper()
-	req := httptest.NewRequest("GET", url, nil)
-	req.RemoteAddr = remoteAddr
-	if clientHeader != "" {
-		req.Header.Set(server.HeaderClientID, clientHeader)
-	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	return rec
 }
 
 // --- ring ------------------------------------------------------------
@@ -149,383 +135,35 @@ func TestRingSpreadsSequentialIdentities(t *testing.T) {
 	}
 }
 
-// --- routing and identity --------------------------------------------
-
-// The router resolves identity once and stamps it on the trusted hop;
-// shards trust only the router, so each client's context lives whole on
-// its ring owner and a forged header cannot cross shards.
-func TestClusterRoutesByClientIdentity(t *testing.T) {
-	c, err := New(Config{Shards: 4, Store: testStore()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clients := []string{"alice", "bob", "carol", "dave", "erin", "frank"}
-	for _, id := range clients {
-		get(t, c, "/home", "203.0.113.1:999", id)
-		get(t, c, "/news", "203.0.113.1:999", id)
-	}
-	for _, id := range clients {
-		owner, ok := c.Owner(id)
-		if !ok {
-			t.Fatalf("no owner for %s", id)
-		}
-		for _, sid := range c.ShardIDs() {
-			sessions := c.Shard(sid).OpenSessions()
-			found := false
-			for _, os := range sessions {
-				if os.Client == id {
-					found = true
-					if os.URLs != 2 {
-						t.Errorf("%s on shard %d has %d URLs, want 2", id, sid, os.URLs)
-					}
-				}
-			}
-			if found != (sid == owner) {
-				t.Errorf("%s: session on shard %d (owner %d)", id, sid, owner)
-			}
-		}
-	}
-	if st := c.Stats(); st.DemandRequests != int64(2*len(clients)) {
-		t.Errorf("aggregate DemandRequests = %d, want %d", st.DemandRequests, 2*len(clients))
-	}
-}
-
-// End to end over real sockets: the shard sees the router's stamp, not
-// whatever the client put on the wire, because the shard trusts only
-// the RouterPeer hop.
-func TestClusterIdentityStampOverHTTP(t *testing.T) {
-	c, err := New(Config{Shards: 2, Store: testStore()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(c)
-	defer ts.Close()
-
-	req, _ := http.NewRequest("GET", ts.URL+"/home", nil)
-	req.Header.Set(server.HeaderClientID, "alice")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	owner, _ := c.Owner("alice")
-	sessions := c.Shard(owner).OpenSessions()
-	if len(sessions) != 1 || sessions[0].Client != "alice" {
-		t.Fatalf("owner shard sessions = %+v, want one for alice", sessions)
-	}
-}
-
-// SetPredictor replicates one immutable snapshot to every shard, and a
-// shard joining later catches up on the latest publication.
-func TestPredictorFanOutAndCatchUp(t *testing.T) {
-	c, err := New(Config{Shards: 2, Store: testStore()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec := get(t, c, "/home", "1.2.3.4:1", "alice"); rec.Header().Get(server.HeaderPrefetch) != "" {
-		t.Fatal("unpublished cluster issued hints")
-	}
-
-	c.SetPredictor(trainedModel())
-	c.SetGrader(testGrades())
-	// Every shard hints now: route distinct clients until each shard has
-	// issued at least one hint.
-	for i := 0; i < 64; i++ {
-		get(t, c, "/home", "1.2.3.4:1", fmt.Sprintf("c%d", i))
-	}
-	for _, id := range c.ShardIDs() {
-		if st := c.Shard(id).Stats(); st.HintsIssued == 0 {
-			t.Errorf("shard %d issued no hints after fan-out", id)
-		}
-	}
-
-	id, _ := c.AddShard()
-	for i := 0; i < 64; i++ {
-		get(t, c, "/home", "1.2.3.4:1", fmt.Sprintf("late%d", i))
-	}
-	if st := c.Shard(id).Stats(); st.HintsIssued == 0 {
-		t.Errorf("late-joining shard %d did not catch up on the published model", id)
-	}
-}
-
-// --- rebalance accounting and the unmatched-report regression --------
-
-// A shard join reprices the ring: the report must count exactly the
-// open sessions whose owner moved, and a hit report for a hint the old
-// owner issued must surface on the new owner as unmatched — counted,
-// not silently dropped — while still scoring the hit.
-func TestRebalanceReportAndUnmatchedHitReports(t *testing.T) {
-	c, err := New(Config{
-		Shards:      2,
-		Store:       testStore(),
-		ShardConfig: server.Config{Predictor: trainedModel(), Grades: testGrades()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Open hinted sessions for many clients and record owners.
-	const n = 40
-	ownersBefore := map[string]int{}
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("client-%d", i)
-		get(t, c, "/home", "1.2.3.4:1", id) // hints /news
-		ownersBefore[id], _ = c.Owner(id)
-	}
-	hintsBefore := map[string]int{}
-	for _, sid := range c.ShardIDs() {
-		for _, os := range c.Shard(sid).OpenSessions() {
-			hintsBefore[os.Client] = os.Hints
-		}
-	}
-
-	newID, rep := c.AddShard()
-	wantRemapped, wantOrphaned := 0, 0
-	var movedClient string
-	for id, before := range ownersBefore {
-		after, _ := c.Owner(id)
-		if after != before {
-			if after != newID {
-				t.Fatalf("%s moved %d -> %d, not to the new shard", id, before, after)
-			}
-			wantRemapped++
-			wantOrphaned += hintsBefore[id]
-			movedClient = id
-		}
-	}
-	if rep.SessionsRemapped != wantRemapped || rep.HintsOrphaned != wantOrphaned {
-		t.Errorf("report = %+v, want remapped %d orphaned %d", rep, wantRemapped, wantOrphaned)
-	}
-	if rep.Kind != "join" || rep.Shard != newID || rep.ShardsAfter != 3 {
-		t.Errorf("report metadata = %+v", rep)
-	}
-	if wantRemapped == 0 {
-		t.Fatal("no client remapped by the join; enlarge n")
-	}
-
-	// The remapped client reports its prefetch hit for /news. The new
-	// owner never issued that hint: unmatched, counted, still scored.
-	before := c.Stats()
-	req := httptest.NewRequest("GET", "/", nil)
-	req.RemoteAddr = "1.2.3.4:1"
-	req.Header.Set(server.HeaderClientID, movedClient)
-	req.Header.Set(server.HeaderPrefetchReportOnly, "1")
-	req.Header.Set(server.HeaderPrefetchReport, server.FormatReport([]server.ReportEntry{
-		{URL: "/news", Outcome: quality.PrefetchHit},
-	}))
-	c.ServeHTTP(httptest.NewRecorder(), req)
-
-	after := c.Stats()
-	if got := after.HintReportsUnmatched - before.HintReportsUnmatched; got != 1 {
-		t.Errorf("HintReportsUnmatched delta = %d, want 1", got)
-	}
-	if newOwnerStats := c.Shard(newID).Stats(); newOwnerStats.HintReportsUnmatched != 1 {
-		t.Errorf("unmatched report not counted on the new owner: %+v", newOwnerStats)
-	}
-	if got := c.QualityTotal().PrefetchHits; got == 0 {
-		t.Error("unmatched report was not scored as a prefetch hit")
-	}
-}
-
-// A shard leave remaps everything it held and flushes its open sessions
-// through OnSessionEnd so training data survives the departure.
-func TestRemoveShardFlushesSessions(t *testing.T) {
-	var mu sync.Mutex
-	ended := map[string][]string{}
-	c, err := New(Config{
-		Shards: 3,
-		Store:  testStore(),
-		ShardConfig: server.Config{
-			OnSessionEnd: func(client string, urls []string, _ time.Time) {
-				mu.Lock()
-				ended[client] = urls
-				mu.Unlock()
-			},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 30
-	for i := 0; i < n; i++ {
-		get(t, c, "/home", "1.2.3.4:1", fmt.Sprintf("client-%d", i))
-	}
-	victim := c.ShardIDs()[0]
-	held := len(c.Shard(victim).OpenSessions())
-	if held == 0 {
-		t.Fatal("victim shard held no sessions; enlarge n")
-	}
-
-	rep, err := c.RemoveShard(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Kind != "leave" || rep.SessionsRemapped != held || rep.ShardsAfter != 2 {
-		t.Errorf("leave report = %+v, want %d sessions remapped over 2 shards", rep, held)
-	}
-	mu.Lock()
-	flushed := len(ended)
-	mu.Unlock()
-	if flushed != held {
-		t.Errorf("OnSessionEnd delivered %d sessions, want %d", flushed, held)
-	}
-	if c.Shard(victim) != nil {
-		t.Error("removed shard still resolvable")
-	}
-	if _, err := c.RemoveShard(victim); err == nil {
-		t.Error("removing a removed shard must error")
-	}
-
-	// The last shard cannot leave.
-	ids := c.ShardIDs()
-	if _, err := c.RemoveShard(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RemoveShard(ids[1]); err == nil {
-		t.Error("removing the last shard must be refused")
-	}
-}
-
-// --- equivalence with a single node ----------------------------------
-
-// replayTrace drives a fixed set of client walks through one handler
-// with cooperating prefetch clients (synchronous, so each walk is
-// deterministic), then flushes reports. Walks run sequentially; hint
-// accounting is per-client, so interleaving cannot change the totals.
-func replayTrace(t *testing.T, baseURL string) {
-	t.Helper()
-	walks := map[string][]string{
-		"alice": {"/home", "/news", "/news/today"}, // hint hit chain
-		"bob":   {"/home", "/sports", "/blog"},     // hinted /news wasted
-		"carol": {"/sports", "/blog", "/home"},     // weak chain hit
-		"dave":  {"/news", "/news/today", "/home"}, // mid-chain entry
-		"erin":  {"/home", "/news", "/home"},       // partial hit, revisit
-	}
-	// Deterministic order.
-	ids := []string{"alice", "bob", "carol", "dave", "erin"}
-	for _, id := range ids {
-		cl, err := server.NewClient(server.ClientConfig{
-			ID:                  id,
-			BaseURL:             baseURL,
-			SynchronousPrefetch: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, url := range walks[id] {
-			if _, err := cl.Get(url); err != nil {
-				t.Fatalf("%s GET %s: %v", id, url, err)
-			}
-		}
-		if err := cl.Flush(); err != nil {
-			t.Fatalf("%s flush: %v", id, err)
-		}
-	}
-}
-
-// eventTally counts hint-lifecycle transitions by type; shared across
-// shards the way a maintainer callback would be.
-type eventTally struct {
-	mu sync.Mutex
-	n  [4]int
-}
-
-func (e *eventTally) record(ev server.HintEvent) {
-	e.mu.Lock()
-	e.n[ev.Type]++
-	e.mu.Unlock()
-}
-
-// The acceptance-criteria equivalence test: N shards replaying one
-// trace must produce the same integer hint accounting — issued,
-// fetched, hit, wasted — and the same quality snapshot as a single
-// node, because routing by client identity keeps each client's
-// serving state whole on one shard and every shard serves the same
-// immutable model.
-func TestClusterEquivalenceWithSingleNode(t *testing.T) {
-	base := time.Date(2026, 8, 7, 0, 0, 0, 0, time.UTC)
-
-	run := func(shards int) (quality.Snapshot, server.Stats, [4]int) {
-		var nanos atomic.Int64
-		tally := &eventTally{}
-		cfg := server.Config{
-			Predictor:   trainedModel(),
-			Grades:      testGrades(),
-			Clock:       func() time.Time { return base.Add(time.Duration(nanos.Load())) },
-			OnHintEvent: tally.record,
-		}
-		var handler http.Handler
-		var qual func() quality.Snapshot
-		var stats func() server.Stats
-		var expire func() int
-		if shards == 1 {
-			srv := server.New(testStore(), cfg)
-			handler, qual, stats, expire = srv, srv.QualityTotal, srv.Stats, srv.ExpireSessions
-		} else {
-			c, err := New(Config{Shards: shards, Store: testStore(), ShardConfig: cfg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			handler, qual, stats, expire = c, c.QualityTotal, c.Stats, c.ExpireSessions
-		}
-
-		ts := httptest.NewServer(handler)
-		defer ts.Close()
-		replayTrace(t, ts.URL)
-
-		// Close every session so fetched-but-never-hit hints emit Wasted.
-		nanos.Add(int64(24 * time.Hour))
-		expire()
-
-		tally.mu.Lock()
-		events := tally.n
-		tally.mu.Unlock()
-		return qual(), stats(), events
-	}
-
-	wantQual, wantStats, wantEvents := run(1)
-	if wantEvents[server.HintIssued] == 0 || wantEvents[server.HintHit] == 0 || wantEvents[server.HintWasted] == 0 {
-		t.Fatalf("trace too weak to test equivalence: events = %v", wantEvents)
-	}
-
-	for _, n := range []int{2, 4} {
-		gotQual, gotStats, gotEvents := run(n)
-		if gotEvents != wantEvents {
-			t.Errorf("%d shards: lifecycle events = %v (issued,fetched,hit,wasted), single node = %v",
-				n, gotEvents, wantEvents)
-		}
-		if gotQual != wantQual {
-			t.Errorf("%d shards: quality = %+v, single node = %+v", n, gotQual, wantQual)
-		}
-		if gotStats.HintsIssued != wantStats.HintsIssued ||
-			gotStats.HintFetches != wantStats.HintFetches ||
-			gotStats.HintHits != wantStats.HintHits ||
-			gotStats.DemandRequests != wantStats.DemandRequests ||
-			gotStats.HintReportsUnmatched != wantStats.HintReportsUnmatched {
-			t.Errorf("%d shards: stats = %+v, single node = %+v", n, gotStats, wantStats)
-		}
-	}
-}
-
 // --- smoke (run under -race in CI) -----------------------------------
 
-// TestClusterSmoke boots a 4-shard cluster behind the router, pushes
-// ~500 concurrent requests from many clients, and checks the books:
-// aggregate completions match what was sent, per-shard counters sum to
-// the aggregate, and the router and shard expositions lint clean.
+// TestClusterSmoke boots Router over 4 backend servers, pushes ~500
+// concurrent requests from many clients, and checks the books: the
+// backends' demand counters sum to the requests sent, and the router
+// and backend expositions lint clean.
 func TestClusterSmoke(t *testing.T) {
+	const shards = 4
+	srvs := make([]*server.Server, shards)
+	regs := make([]*obs.Registry, shards)
+	backends := make([]string, shards)
+	for i := range srvs {
+		regs[i] = obs.NewRegistry()
+		srvs[i] = server.New(testStore(), server.Config{
+			Predictor:    trainedModel(),
+			Grades:       testGrades(),
+			Obs:          regs[i],
+			TrustedPeers: []string{"127.0.0.1", "::1"},
+		})
+		ts := httptest.NewServer(srvs[i])
+		defer ts.Close()
+		backends[i] = ts.URL
+	}
 	reg := obs.NewRegistry()
-	c, err := New(Config{
-		Shards:      4,
-		Store:       testStore(),
-		ShardConfig: server.Config{Predictor: trainedModel(), Grades: testGrades()},
-		Obs:         reg,
-	})
+	rt, err := NewRouter(RouterConfig{Backends: backends, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(c)
+	ts := httptest.NewServer(rt)
 	defer ts.Close()
 
 	const (
@@ -560,18 +198,15 @@ func TestClusterSmoke(t *testing.T) {
 	}
 
 	const total = nClients * perCli
-	if st := c.Stats(); st.DemandRequests != total {
-		t.Errorf("aggregate DemandRequests = %d, want %d", st.DemandRequests, total)
-	}
 	var perShard int64
-	for _, id := range c.ShardIDs() {
-		perShard += c.Shard(id).Stats().DemandRequests
+	for _, srv := range srvs {
+		perShard += srv.Stats().DemandRequests
 	}
 	if perShard != total {
-		t.Errorf("per-shard sum = %d, want %d", perShard, total)
+		t.Errorf("per-backend demand sum = %d, want %d", perShard, total)
 	}
 
-	// Expositions lint clean: the router registry and every shard's.
+	// Expositions lint clean: the router registry and every backend's.
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -582,13 +217,13 @@ func TestClusterSmoke(t *testing.T) {
 	if !strings.Contains(sb.String(), `pbppm_shard_requests_total{shard="0"}`) {
 		t.Error("router exposition missing per-shard request counters")
 	}
-	for _, id := range c.ShardIDs() {
+	for i, r := range regs {
 		sb.Reset()
-		if err := c.ShardRegistry(id).WritePrometheus(&sb); err != nil {
+		if err := r.WritePrometheus(&sb); err != nil {
 			t.Fatal(err)
 		}
 		if err := obs.ValidateExposition(sb.String()); err != nil {
-			t.Errorf("shard %d exposition: %v", id, err)
+			t.Errorf("backend %d exposition: %v", i, err)
 		}
 	}
 }

@@ -115,7 +115,7 @@ func TestFindMaxGeneratorLimitedMidBisect(t *testing.T) {
 	gate := Gate{}.withDefaults()
 	s := &scripted{t: t, verdict: map[float64]Trial{
 		10: pass(),
-		20: failLatency(),   // brackets [10, 20]
+		20: failLatency(),    // brackets [10, 20]
 		15: failLagged(gate), // bisection probe exhausts the generator
 	}}
 	res, err := findMax(10, gate, s.trial)

@@ -148,11 +148,11 @@ func RegisterRuntimeMetrics(reg *Registry) {
 		return
 	}
 	const (
-		heapBytes   = "/memory/classes/heap/objects:bytes"
-		totalBytes  = "/memory/classes/total:bytes"
-		gcCycles    = "/gc/cycles/total:gc-cycles"
-		gcPauses    = "/gc/pauses:seconds"
-		schedLats   = "/sched/latencies:seconds"
+		heapBytes  = "/memory/classes/heap/objects:bytes"
+		totalBytes = "/memory/classes/total:bytes"
+		gcCycles   = "/gc/cycles/total:gc-cycles"
+		gcPauses   = "/gc/pauses:seconds"
+		schedLats  = "/sched/latencies:seconds"
 		goroutines = "/sched/goroutines:goroutines"
 		gomaxprocs = "/sched/gomaxprocs:threads"
 		cpuGCTotal = "/cpu/classes/gc/total:cpu-seconds"

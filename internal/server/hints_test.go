@@ -10,12 +10,12 @@ import (
 func TestHintRoundTripSpecialCharacters(t *testing.T) {
 	urls := []string{
 		"/plain",
-		"/a,b",                   // comma collides with the hint separator
-		"/a;b",                   // semicolon collides with the parameter separator
-		"/a%2Cb",                 // pre-escaped text must survive double-transport
-		"/search?q=a,b;c d",      // query with all three hazards
-		"/100%",                  // trailing bare percent
-		"/sp ace",                // space
+		"/a,b",              // comma collides with the hint separator
+		"/a;b",              // semicolon collides with the parameter separator
+		"/a%2Cb",            // pre-escaped text must survive double-transport
+		"/search?q=a,b;c d", // query with all three hazards
+		"/100%",             // trailing bare percent
+		"/sp ace",           // space
 	}
 	hints := make([]markov.Prediction, len(urls))
 	for i, u := range urls {
@@ -36,12 +36,12 @@ func TestHintRoundTripSpecialCharacters(t *testing.T) {
 func TestUnescapeHintURLTolerance(t *testing.T) {
 	// Legacy unescaped headers and malformed triples must pass through.
 	for in, want := range map[string]string{
-		"/plain":  "/plain",
-		"/a%ZZb":  "/a%ZZb", // bad hex kept literally
-		"/a%2":    "/a%2",   // truncated triple
-		"/a%":     "/a%",
-		"/a%2Cb":  "/a,b",
-		"%3B%25":  ";%",
+		"/plain": "/plain",
+		"/a%ZZb": "/a%ZZb", // bad hex kept literally
+		"/a%2":   "/a%2",   // truncated triple
+		"/a%":    "/a%",
+		"/a%2Cb": "/a,b",
+		"%3B%25": ";%",
 	} {
 		if got := unescapeHintURL(in); got != want {
 			t.Errorf("unescapeHintURL(%q) = %q, want %q", in, got, want)

@@ -332,14 +332,6 @@ func (s *Server) QualityWindow(span time.Duration) quality.Snapshot {
 	return s.live.windowSnapshot(span)
 }
 
-// DemandLatencyGoodTotal reads the rolling demand-latency ring: how
-// many demand requests completed within threshold over the trailing
-// span, and how many completed at all. The cluster sums these across
-// shards to bind an aggregate latency SLI.
-func (s *Server) DemandLatencyGoodTotal(span, threshold time.Duration) (good, total int64) {
-	return s.live.demandLatency.GoodTotal(span, threshold)
-}
-
 // SetGrader publishes the popularity grader used to grade hint-event
 // URLs; the maintenance loop calls this with each rebuild's ranking.
 func (s *Server) SetGrader(g popularity.Grader) { s.live.setGrader(g) }

@@ -191,12 +191,12 @@ type Stats struct {
 	// HintReportsUnmatched counts client prefetch-hit reports that found
 	// no outstanding hint record on this server — evicted hints, ended
 	// sessions, or reports landing on a shard that never issued the hint
-	// after a cluster rebalance.
+	// after the router's backend set changed.
 	HintReportsUnmatched int64
 }
 
-// Add returns element-wise sums, so a cluster can aggregate its
-// shards' snapshots into one Stats.
+// Add returns element-wise sums, so the books of several servers behind
+// one router can be read as one Stats.
 func (a Stats) Add(b Stats) Stats {
 	a.DemandRequests += b.DemandRequests
 	a.PrefetchRequests += b.PrefetchRequests
@@ -254,7 +254,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		hintHits: reg.Counter("pbppm_hint_hits_total",
 			"Demand requests for URLs previously hinted to the same client."),
 		reportsUnmatched: reg.Counter("pbppm_hint_reports_unmatched_total",
-			"Client prefetch-hit reports that matched no outstanding hint record — the hint was evicted, its session ended, or (in a cluster) a rebalance moved the client to a shard that never issued it."),
+			"Client prefetch-hit reports that matched no outstanding hint record — the hint was evicted, its session ended, or a change in the router's backend set moved the client to a shard that never issued it."),
 		sessionsStarted: reg.Counter("pbppm_sessions_started_total",
 			"Client access sessions opened."),
 		sessionsExpired: reg.Counter("pbppm_sessions_expired_total",
@@ -709,8 +709,8 @@ func (s *Server) ingestReports(client string, reports []ReportEntry) {
 			// An unmatched report still scores (the client really was
 			// served from its prefetch cache) against a synthetic record,
 			// but it is counted: a rising rate means hints are being
-			// evicted too aggressively or, in a cluster, reports are
-			// landing on shards that never issued them (rebalance).
+			// evicted too aggressively or, behind a router, reports are
+			// landing on shards that never issued them.
 			if !matched {
 				s.metrics.reportsUnmatched.Inc()
 			}
@@ -913,27 +913,6 @@ type endedCtx struct {
 	done   chan struct{}
 }
 
-// removeSessions removes every context matching keep==false from the
-// shards and returns them registered for ordered end delivery; the
-// caller delivers them without any lock held.
-func (s *Server) removeSessions(expire func(*clientContext) bool) []endedCtx {
-	var ended []endedCtx
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for c, ctx := range sh.contexts {
-			if expire(ctx) {
-				delete(sh.contexts, c)
-				done := make(chan struct{})
-				sh.ending[c] = done
-				ended = append(ended, endedCtx{sh: sh, client: c, ctx: ctx, done: done})
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return ended
-}
-
 // ExpireSessions drops client contexts idle beyond the session window;
 // long-running servers call it periodically to bound memory. Expired
 // contexts are reported through OnSessionEnd in per-client session
@@ -942,24 +921,22 @@ func (s *Server) removeSessions(expire func(*clientContext) bool) []endedCtx {
 // independently, so expiry never stalls the whole server.
 func (s *Server) ExpireSessions() int {
 	now := s.cfg.now()
-	ended := s.removeSessions(func(ctx *clientContext) bool {
-		return now.Sub(ctx.last) > s.cfg.idle()
-	})
-	s.metrics.sessionsExpired.Add(int64(len(ended)))
-	for _, e := range ended {
-		s.deliverSessionEnd(e.sh, e.client, e.ctx, e.done, now)
+	// Remove the idle contexts and register each for ordered end
+	// delivery, then deliver without any lock held.
+	var ended []endedCtx
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for c, ctx := range sh.contexts {
+			if now.Sub(ctx.last) > s.cfg.idle() {
+				delete(sh.contexts, c)
+				done := make(chan struct{})
+				sh.ending[c] = done
+				ended = append(ended, endedCtx{sh: sh, client: c, ctx: ctx, done: done})
+			}
+		}
+		sh.mu.Unlock()
 	}
-	return len(ended)
-}
-
-// FlushSessions ends every open client context regardless of idleness,
-// delivering each through OnSessionEnd like ExpireSessions. A cluster
-// uses it to drain a shard leaving the ring so its in-progress
-// sessions still reach the training window; a server shutting down can
-// use it the same way.
-func (s *Server) FlushSessions() int {
-	now := s.cfg.now()
-	ended := s.removeSessions(func(*clientContext) bool { return true })
 	s.metrics.sessionsExpired.Add(int64(len(ended)))
 	for _, e := range ended {
 		s.deliverSessionEnd(e.sh, e.client, e.ctx, e.done, now)
@@ -969,8 +946,6 @@ func (s *Server) FlushSessions() int {
 
 // OpenSession describes one open client context: how many URLs the
 // session has accumulated and how many hint records are outstanding.
-// The cluster's rebalance accounting reads these to price a ring
-// change (sessions remapped, hints orphaned).
 type OpenSession struct {
 	Client string
 	URLs   int
