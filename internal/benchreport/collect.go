@@ -36,6 +36,11 @@ func Measure(f func() error) (Measurement, error) {
 // clock, models, and metrics may be nil/empty. Events per second are
 // computed over the simulate phase only, so a slow training pass does
 // not masquerade as slow replay throughput.
+//
+// The clock's phase totals are sums of per-run wall times. Because
+// sim.Compare and the experiment sweeps run their models and windows
+// concurrently, train + simulate can exceed WallSeconds, and
+// EventsPerSec is per-run replay throughput, not the experiment's.
 func NewRecord(experiment, workload string, m Measurement, clock *sim.PhaseClock,
 	models map[string]markov.TreeStats, metrics map[string]float64) Record {
 	rec := Record{

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"pbppm/internal/markov"
+	"pbppm/internal/sim"
 	"pbppm/internal/trace"
 	"pbppm/internal/tracegen"
 )
@@ -581,25 +585,69 @@ func TestAblationBlending(t *testing.T) {
 }
 
 // TestSweepDeterminism: the whole pipeline is seeded, so repeated runs
-// must agree bit-for-bit.
+// must agree bit-for-bit — including a sweep whose windows and models
+// run one at a time (GOMAXPROCS 1) against one that runs them
+// concurrently (GOMAXPROCS 4), on every DayResult field.
 func TestSweepDeterminism(t *testing.T) {
 	w := testNASA(t)
-	a, err := Sweep(w, SweepConfig{MaxTrainDays: 2})
-	if err != nil {
-		t.Fatal(err)
+	sweepAt := func(procs int) []DayResult {
+		t.Helper()
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		out, err := Sweep(w, SweepConfig{MaxTrainDays: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	b, err := Sweep(w, SweepConfig{MaxTrainDays: 2})
-	if err != nil {
-		t.Fatal(err)
+	a, b := sweepAt(1), sweepAt(4)
+	if len(a) != 2 || len(b) != len(a) {
+		t.Fatalf("sweeps returned %d and %d windows, want 2", len(a), len(b))
 	}
 	for i := range a {
+		if a[i].TrainDays != i+1 || b[i].TrainDays != i+1 {
+			t.Errorf("window %d: TrainDays %d and %d, want %d", i, a[i].TrainDays, b[i].TrainDays, i+1)
+		}
+		if len(a[i].Results) != len(b[i].Results) {
+			t.Errorf("day %d: %d vs %d models", a[i].TrainDays, len(a[i].Results), len(b[i].Results))
+		}
 		for m, ra := range a[i].Results {
-			rb := b[i].Results[m]
-			if ra.Hits() != rb.Hits() || ra.TransferredBytes != rb.TransferredBytes ||
-				ra.Nodes != rb.Nodes || ra.TotalLatency != rb.TotalLatency {
-				t.Errorf("day %d %s: runs disagree: %+v vs %+v", a[i].TrainDays, m, ra, rb)
+			if rb, ok := b[i].Results[m]; !ok || !reflect.DeepEqual(ra, rb) {
+				t.Errorf("day %d %s: serial and concurrent sweeps disagree:\n %+v\n %+v", a[i].TrainDays, m, ra, rb)
 			}
 		}
+	}
+}
+
+// TestSweepHooksUnderConcurrency: with its windows running
+// concurrently, Sweep still never overlaps OnProgress calls, and
+// OnModel sees every window's models in k order once all windows have
+// finished.
+func TestSweepHooksUnderConcurrency(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	wc := *testNASA(t)
+	var (
+		models   []string
+		progress int // unsynchronized on purpose: the race detector checks the contract
+	)
+	wc.Hooks = Hooks{
+		OnModel:       func(m string, _ markov.TreeStats) { models = append(models, m) },
+		OnProgress:    func(sim.Progress) { progress++ },
+		ProgressEvery: 500,
+	}
+	if _, err := Sweep(&wc, SweepConfig{MaxTrainDays: 3}); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for k := 1; k <= 3; k++ {
+		want = append(want, ModelPPM, ModelLRS, ModelPB)
+	}
+	if !reflect.DeepEqual(models, want) {
+		t.Errorf("OnModel order = %v, want %v", models, want)
+	}
+	if progress == 0 {
+		t.Error("OnProgress never called")
 	}
 }
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"sync"
+
 	"pbppm/internal/markov"
 	"pbppm/internal/sim"
 )
@@ -36,6 +38,21 @@ func (h Hooks) apply(o *sim.Options) {
 	o.ProgressEvery = h.ProgressEvery
 }
 
+// serialized returns h with OnProgress wrapped in a lock, so the
+// concurrent runs that apply the returned hooks never call it at the
+// same time.
+func (h Hooks) serialized() Hooks {
+	if f := h.OnProgress; f != nil {
+		var mu sync.Mutex
+		h.OnProgress = func(p sim.Progress) {
+			mu.Lock()
+			defer mu.Unlock()
+			f(p)
+		}
+	}
+	return h
+}
+
 // ObserveModel reports one trained predictor's tree statistics to
 // OnModel, if both are present.
 func (h Hooks) ObserveModel(name string, p markov.Predictor) {
@@ -50,10 +67,39 @@ func (h Hooks) ObserveModel(name string, p markov.Predictor) {
 // ObserveModels reports every named run's trained predictor, the
 // post-Compare bookend in the sweep-style experiments.
 func (h Hooks) ObserveModels(runs []sim.NamedRun) {
+	h.reportModels(h.modelStats(runs))
+}
+
+// modelStats is one trained model's tree statistics under its report
+// name.
+type modelStats struct {
+	name string
+	st   markov.TreeStats
+}
+
+// modelStats collects the statistics ObserveModels would report,
+// without calling OnModel, so concurrent runs can gather them and
+// report in a fixed order afterwards. It returns nil when OnModel is
+// unset.
+func (h Hooks) modelStats(runs []sim.NamedRun) []modelStats {
 	if h.OnModel == nil {
-		return
+		return nil
 	}
+	var out []modelStats
 	for _, r := range runs {
-		h.ObserveModel(r.Name, r.Options.Predictor)
+		if r.Options.Predictor == nil {
+			continue
+		}
+		if st, ok := markov.StatsOf(r.Options.Predictor); ok {
+			out = append(out, modelStats{r.Name, st})
+		}
+	}
+	return out
+}
+
+// reportModels hands collected statistics to OnModel in order.
+func (h Hooks) reportModels(ms []modelStats) {
+	for _, m := range ms {
+		h.OnModel(m.name, m.st)
 	}
 }

@@ -57,6 +57,13 @@ func (c SweepConfig) relProb() float64 {
 // size: standard PPM (unbounded), optionally 3-PPM, LRS-PPM, PB-PPM
 // (with the paper's thresholds: 10 KB prefetch size cap for the first
 // three, 30 KB for PB-PPM), plus the no-prefetch baseline.
+//
+// The windows are independent runs, so they execute concurrently (at
+// most runtime.GOMAXPROCS(0) at a time), each with its own ranking,
+// predictors and sim.Compare. The result is the same as running them
+// one after another: out[k-1] holds window k, the first error in k
+// order is returned, progress callbacks never overlap, and OnModel
+// sees the windows' trained models in k order after all have finished.
 func Sweep(w *Workload, cfg SweepConfig) ([]DayResult, error) {
 	maxDays := cfg.MaxTrainDays
 	if maxDays == 0 {
@@ -67,60 +74,77 @@ func Sweep(w *Workload, cfg SweepConfig) ([]DayResult, error) {
 			maxDays, maxDays+1, w.Days())
 	}
 
-	var out []DayResult
-	for k := 1; k <= maxDays; k++ {
-		train := w.DaySessions(0, k)
-		test := w.DaySessions(k, k+1)
-		if len(train) == 0 || len(test) == 0 {
-			return nil, fmt.Errorf("experiments: day %d: empty train (%d) or test (%d) window",
-				k, len(train), len(test))
+	hooks := w.Hooks.serialized()
+	out := make([]DayResult, maxDays)
+	models := make([][]modelStats, maxDays)
+	errs := make([]error, maxDays)
+	sim.Parallel(maxDays, func(i int) {
+		out[i], models[i], errs[i] = sweepWindow(w, cfg, hooks, i+1)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		rank := Ranking(train)
-
-		common := sim.Options{
-			Path:            w.Path,
-			Grades:          rank,
-			Sizes:           w.Sizes,
-			PredictOnHitToo: cfg.PredictOnHitToo,
-		}
-		w.Hooks.apply(&common)
-		runs := []sim.NamedRun{}
-		addRun := func(name string, opt sim.Options) {
-			runs = append(runs, sim.NamedRun{Name: name, Options: opt})
-		}
-
-		o := common
-		o.Predictor = ppm.New(ppm.Config{})
-		o.MaxPrefetchBytes = sim.DefaultMaxPrefetchBytes
-		addRun(ModelPPM, o)
-
-		if cfg.Include3PPM {
-			o = common
-			o.Predictor = ppm.New(ppm.Config{Height: 3})
-			o.MaxPrefetchBytes = sim.DefaultMaxPrefetchBytes
-			addRun(Model3PPM, o)
-		}
-
-		o = common
-		o.Predictor = lrs.New(lrs.Config{})
-		o.MaxPrefetchBytes = sim.DefaultMaxPrefetchBytes
-		addRun(ModelLRS, o)
-
-		o = common
-		o.Predictor = core.New(rank, core.Config{
-			RelProbCutoff:  cfg.relProb(),
-			DropSingletons: w.DropSingletons,
-		})
-		o.MaxPrefetchBytes = sim.PBMaxPrefetchBytes
-		addRun(ModelPB, o)
-
-		results := sim.Compare(train, test, runs)
-		w.Hooks.ObserveModels(runs)
-		dr := DayResult{TrainDays: k, Results: make(map[string]metrics.Result, len(results))}
-		for _, r := range results {
-			dr.Results[r.Model] = r
-		}
-		out = append(out, dr)
+	}
+	for _, m := range models {
+		w.Hooks.reportModels(m)
 	}
 	return out, nil
+}
+
+// sweepWindow trains every model on days [0, k) and replays day k. It
+// returns the window's results and, when hooks.OnModel is set, the
+// trained models' statistics for the caller to report.
+func sweepWindow(w *Workload, cfg SweepConfig, hooks Hooks, k int) (DayResult, []modelStats, error) {
+	train := w.DaySessions(0, k)
+	test := w.DaySessions(k, k+1)
+	if len(train) == 0 || len(test) == 0 {
+		return DayResult{}, nil, fmt.Errorf("experiments: day %d: empty train (%d) or test (%d) window",
+			k, len(train), len(test))
+	}
+	rank := Ranking(train)
+
+	common := sim.Options{
+		Path:            w.Path,
+		Grades:          rank,
+		Sizes:           w.Sizes,
+		PredictOnHitToo: cfg.PredictOnHitToo,
+	}
+	hooks.apply(&common)
+	runs := []sim.NamedRun{}
+	addRun := func(name string, opt sim.Options) {
+		runs = append(runs, sim.NamedRun{Name: name, Options: opt})
+	}
+
+	o := common
+	o.Predictor = ppm.New(ppm.Config{})
+	o.MaxPrefetchBytes = sim.DefaultMaxPrefetchBytes
+	addRun(ModelPPM, o)
+
+	if cfg.Include3PPM {
+		o = common
+		o.Predictor = ppm.New(ppm.Config{Height: 3})
+		o.MaxPrefetchBytes = sim.DefaultMaxPrefetchBytes
+		addRun(Model3PPM, o)
+	}
+
+	o = common
+	o.Predictor = lrs.New(lrs.Config{})
+	o.MaxPrefetchBytes = sim.DefaultMaxPrefetchBytes
+	addRun(ModelLRS, o)
+
+	o = common
+	o.Predictor = core.New(rank, core.Config{
+		RelProbCutoff:  cfg.relProb(),
+		DropSingletons: w.DropSingletons,
+	})
+	o.MaxPrefetchBytes = sim.PBMaxPrefetchBytes
+	addRun(ModelPB, o)
+
+	results := sim.Compare(train, test, runs)
+	dr := DayResult{TrainDays: k, Results: make(map[string]metrics.Result, len(results))}
+	for _, r := range results {
+		dr.Results[r.Model] = r
+	}
+	return dr, hooks.modelStats(runs), nil
 }

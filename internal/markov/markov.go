@@ -443,12 +443,14 @@ type liveMatch struct {
 // O(len(ctx)²) node hops): at each position all live matches step to
 // the child for the current symbol or die, and a new match rooted at
 // this position joins. The earliest surviving start is the longest
-// suffix.
+// suffix. Like Arena.LongestMatch it keeps the live set on the stack
+// for contexts of up to arenaMaxStackMatches URLs.
 func (t *Tree) LongestMatch(ctx []string) (*Node, int) {
 	if len(ctx) == 0 {
 		return nil, 0
 	}
-	var live []liveMatch
+	var stack [arenaMaxStackMatches]liveMatch
+	live := stack[:0]
 	for i, u := range ctx {
 		sym, known := t.syms.lookup(u)
 		if !known {

@@ -39,6 +39,11 @@ var PhaseBounds = []time.Duration{
 // creates a fresh clock per figure so phase totals do not bleed
 // between records.
 //
+// A phase total is the sum of the wall times of every run that reported
+// it. Compare and the experiment sweeps run their jobs concurrently, so
+// overlapping runs each add their own time: the train and simulate
+// totals together can exceed the experiment's wall time.
+//
 // All methods are safe on a nil *PhaseClock (they do nothing), so
 // instrumented code needs no "is timing on?" branches — the same
 // contract the obs constructors follow. A non-nil clock is safe for

@@ -17,7 +17,11 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"pbppm/internal/cache"
@@ -90,7 +94,8 @@ type Options struct {
 	// OnProgress, if set, receives a Progress snapshot every
 	// ProgressEvery replayed page views and once more when the replay
 	// ends, so long trace replays are no longer opaque. It is called
-	// synchronously from the replay loop and must be cheap.
+	// synchronously from the replay loop and must be cheap. Compare
+	// serializes the calls of its concurrent jobs.
 	OnProgress func(Progress)
 	// ProgressEvery is the page-view interval between OnProgress calls;
 	// zero selects 50000.
@@ -223,13 +228,19 @@ func BuildSizeTable(sessionSets ...[]session.Session) map[string]int64 {
 // for convenience.
 func Train(p markov.Predictor, train []session.Session) int {
 	markov.TrainAllParallel(p, URLSequences(train))
+	finishTraining(p)
+	return p.NodeCount()
+}
+
+// finishTraining runs a freshly trained predictor's space optimization,
+// if it has one, and clears the usage marks training left behind.
+func finishTraining(p markov.Predictor) {
 	if opt, ok := p.(Optimizer); ok {
 		opt.Optimize()
 	}
 	if ur, ok := p.(markov.UtilizationReporter); ok {
 		ur.ResetUsage()
 	}
-	return p.NodeCount()
 }
 
 // event is one page view scheduled for replay.
@@ -463,29 +474,95 @@ func run(test []session.Session, events []event, opt Options) metrics.Result {
 // Compare trains each predictor on the training window, runs it on the
 // test window with per-model options, and also runs the no-prefetch
 // baseline. It is the workhorse the experiment harness builds on.
+//
+// The baseline replay and each run (train, then replay) are
+// independent jobs, executed on at most runtime.GOMAXPROCS(0)
+// goroutines; the results keep the order baseline first, then runs in
+// order, and are identical to training and replaying one model at a
+// time. Each model trains serially inside its job, because the jobs
+// are the parallel unit. Two contracts follow from the concurrency:
+//   - every run must hold its own Predictor instance (Compare panics
+//     naming both runs when two share one);
+//   - OnProgress callbacks are serialized across the jobs, so a
+//     callback never runs concurrently with another from the same
+//     Compare, though calls from different jobs interleave.
 func Compare(train, test []session.Session, runs []NamedRun) []metrics.Result {
-	results := make([]metrics.Result, 0, len(runs)+1)
+	checkDistinctPredictors(runs)
 	sizes := BuildSizeTable(train, test)
 	events := schedule(test)
+	seqs := URLSequences(train)
 
-	base := runs[0].Options
-	base.Predictor = nil
-	base.Sizes = sizes
-	baseline := run(test, events, base)
-	baseline.Model = "none"
-	results = append(results, baseline)
-
-	for _, r := range runs {
-		opts := r.Options
-		opts.Sizes = sizes
-		opts.Phases.Time(PhaseTrain, func() { Train(opts.Predictor, train) })
-		res := run(test, events, opts)
-		if r.Name != "" {
-			res.Model = r.Name
+	var progressMu sync.Mutex
+	prepare := func(o Options) Options {
+		o.Sizes = sizes
+		if f := o.OnProgress; f != nil {
+			o.OnProgress = func(p Progress) {
+				progressMu.Lock()
+				defer progressMu.Unlock()
+				f(p)
+			}
 		}
-		results = append(results, res)
+		return o
 	}
+
+	results := make([]metrics.Result, len(runs)+1)
+	Parallel(len(runs)+1, func(i int) {
+		if i == 0 {
+			base := prepare(runs[0].Options)
+			base.Predictor = nil
+			results[0] = run(test, events, base)
+			return
+		}
+		r := runs[i-1]
+		opts := prepare(r.Options)
+		opts.Phases.Time(PhaseTrain, func() {
+			markov.TrainAll(opts.Predictor, seqs)
+			finishTraining(opts.Predictor)
+		})
+		results[i] = run(test, events, opts)
+		results[i].Model = r.label()
+	})
 	return results
+}
+
+// checkDistinctPredictors panics when two runs share one Predictor
+// instance: Compare trains the runs concurrently, so a shared model
+// would be trained twice and raced on.
+func checkDistinctPredictors(runs []NamedRun) {
+	for i, a := range runs {
+		p := a.Options.Predictor
+		if p == nil || !reflect.TypeOf(p).Comparable() {
+			continue
+		}
+		for _, b := range runs[i+1:] {
+			if b.Options.Predictor == p {
+				panic(fmt.Sprintf("sim: runs %q and %q share one Predictor instance", a.label(), b.label()))
+			}
+		}
+	}
+}
+
+// Parallel calls job(0), ..., job(n-1) on at most runtime.GOMAXPROCS(0)
+// goroutines and returns when every call has returned. Jobs are handed
+// out in index order.
+func Parallel(n int, job func(i int)) {
+	workers := min(n, runtime.GOMAXPROCS(0))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				job(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // NamedRun pairs a configured run with an optional display name
@@ -493,6 +570,15 @@ func Compare(train, test []session.Session, runs []NamedRun) []metrics.Result {
 type NamedRun struct {
 	Name    string
 	Options Options
+}
+
+// label is the run's report name: Name, else the predictor's own.
+// Compare labels each run's result with it.
+func (r NamedRun) label() string {
+	if r.Name != "" || r.Options.Predictor == nil {
+		return r.Name
+	}
+	return r.Options.Predictor.Name()
 }
 
 // FitPathFromTrace fits the client-server latency model from synthetic

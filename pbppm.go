@@ -230,7 +230,11 @@ func RunSimulation(test []Session, opt SimOptions) Result {
 }
 
 // CompareModels trains each run's predictor and evaluates it plus the
-// no-prefetch baseline on the test sessions.
+// no-prefetch baseline on the test sessions. The baseline and the runs
+// execute concurrently (at most GOMAXPROCS at a time) with results in
+// the same order and values as one at a time. Each run must hold its
+// own Predictor instance (two runs sharing one panic), and OnProgress
+// callbacks are serialized across the runs.
 func CompareModels(train, test []Session, runs []NamedRun) []Result {
 	return sim.Compare(train, test, runs)
 }
