@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pbppm/internal/core"
+	"pbppm/internal/loadgen"
 	"pbppm/internal/maintain"
 	"pbppm/internal/markov"
 	"pbppm/internal/obs"
@@ -33,13 +34,13 @@ type appConfig struct {
 	sloFile     string
 	liveWindow  time.Duration
 
-	// warmDays sizes the generated warm-start history; tests and load
-	// benchmarks shrink it for fast boots.
+	// warmDays sizes the generated warm-start history; tests and smoke
+	// runs shrink it for fast boots.
 	warmDays int
 	// pages / sessionsPerDay override the profile's site size and
-	// traffic density when positive, so a capacity run can boot a small
-	// server in seconds. A load generator hitting this server must use
-	// the same overrides or its walkers will 404.
+	// traffic density when positive, so tests and smoke runs can boot a
+	// small server in seconds. Traffic sent to this server must walk the
+	// same site (the same -pages) or it will 404.
 	pages          int
 	sessionsPerDay int
 	// maxHints overrides the per-response hint cap when positive.
@@ -141,7 +142,7 @@ func newApp(cfg appConfig, logger *slog.Logger) (*app, error) {
 	if err != nil {
 		return nil, fmt.Errorf("building site: %w", err)
 	}
-	store := storeFromSite(site)
+	store := loadgen.StoreFromSite(site)
 	a.pages = len(site.Pages)
 
 	// Warm-start: train on a generated history of the same site. A
@@ -445,24 +446,4 @@ func writeStats(w http.ResponseWriter, st server.Stats, rebuilds, deltaMerges in
 		st.DemandRequests, st.PrefetchRequests, st.NotFound,
 		st.HintsIssued, st.HintFetches, st.HintHits,
 		st.SessionsStarted, rebuilds, deltaMerges)
-}
-
-// storeFromSite materializes synthetic bodies for every page and image.
-func storeFromSite(site *tracegen.Site) server.MapStore {
-	store := server.MapStore{}
-	for _, pg := range site.Pages {
-		store[pg.URL] = server.Document{
-			URL:         pg.URL,
-			Body:        make([]byte, pg.Size),
-			ContentType: "text/html; charset=utf-8",
-		}
-		for _, img := range pg.Images {
-			store[img.URL] = server.Document{
-				URL:         img.URL,
-				Body:        make([]byte, img.Size),
-				ContentType: "image/gif",
-			}
-		}
-	}
-	return store
 }

@@ -19,9 +19,9 @@
 //	          [-snapshot-addr URL] [-snapshot-poll 5s]
 //
 // -pages, -sessions-per-day, and -warm-days shrink the synthetic site
-// and warm history for fast boots under load benchmarks (cmd/loadbench
-// must be given the same -pages so its walkers navigate the same
-// site).
+// and warm history for fast boots in tests and smoke runs. A trace
+// replayed against the server (cmd/replay) must be generated with the
+// same -pages (tracegen -pages N) so its URLs exist on the site.
 //
 // -router-addr names the one upstream host allowed to assert
 // X-Client-ID (a cmd/prefetchrouter or an outer load balancer); unset,

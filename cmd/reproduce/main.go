@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	reproduce [-exp all|fig2|fig3|table|fig4|fig5|baselines|maintenance|maintenance-cost|ablations|capacity]
+//	reproduce [-exp all|fig2|fig3|table|fig4|fig5|baselines|maintenance|maintenance-cost|predict-bench|ablations]
 //	          [-workload both|nasa|ucbcs] [-scale full|small] [-csv dir]
 //	          [-bench-out BENCH_run.json] [-compare BENCH_baseline.json]
 //	          [-tol-wall F] [-tol-metric F] [-progress N]
@@ -42,7 +42,7 @@ func main() {
 // before the process exits.
 func realMain() int {
 	var (
-		exp       = flag.String("exp", "all", "experiment: all, fig2, fig3, table, fig4, fig5, baselines, maintenance, maintenance-cost, predict-bench, ablations, or capacity (opt-in, not part of all: boots a live server and measures latency under load)")
+		exp       = flag.String("exp", "all", "experiment: all, fig2, fig3, table, fig4, fig5, baselines, maintenance, maintenance-cost, predict-bench, or ablations")
 		workload  = flag.String("workload", "both", "workload: both, nasa, ucbcs")
 		scale     = flag.String("scale", "full", "full = paper scale, small = quick check")
 		csvDir    = flag.String("csv", "", "also write each artifact as CSV into this directory")
@@ -281,16 +281,6 @@ func run(w *experiments.Workload, exp, csvDir string, progress int, log *slog.Lo
 			return err
 		}
 	}
-	// Capacity is opt-in only (not part of "all"): it boots a live
-	// server and measures latency under load, which depends on the
-	// machine the way the replay experiments do not.
-	if exp == "capacity" {
-		if err := runOne("capacity", fixed("capacity", func() (artifact, error) {
-			return experiments.RunCapacity(w, experiments.CapacityConfig{})
-		})); err != nil {
-			return err
-		}
-	}
 	if all || exp == "ablations" {
 		for _, runAbl := range []func(*experiments.Workload) (*experiments.Ablation, error){
 			experiments.RunAblationThresholds,
@@ -315,7 +305,7 @@ func run(w *experiments.Workload, exp, csvDir string, progress int, log *slog.Lo
 		}
 	}
 	switch exp {
-	case "all", "fig2", "fig3", "table", "fig4", "fig5", "baselines", "maintenance", "maintenance-cost", "predict-bench", "ablations", "capacity":
+	case "all", "fig2", "fig3", "table", "fig4", "fig5", "baselines", "maintenance", "maintenance-cost", "predict-bench", "ablations":
 		return nil
 	default:
 		return fmt.Errorf("unknown experiment %q", exp)

@@ -76,8 +76,8 @@ type Comparison struct {
 }
 
 // lowerIsBetter reports the good direction for a metric name. Cost
-// metrics (time, bytes, node counts, traffic, errors, schedule lag)
-// should fall; accuracy, throughput, and capacity metrics should rise.
+// metrics (time, bytes, node counts, traffic, allocations) should
+// fall; accuracy and throughput metrics should rise.
 func lowerIsBetter(metric string) bool {
 	switch {
 	case metric == "wall_seconds" || metric == "alloc_bytes":
@@ -85,14 +85,6 @@ func lowerIsBetter(metric string) bool {
 	case strings.HasPrefix(metric, "traffic_increase"):
 		return true
 	case strings.HasPrefix(metric, "nodes") || strings.HasSuffix(metric, "_nodes"):
-		return true
-	case strings.HasSuffix(metric, "_rps"):
-		// Capacity metrics (max_sustainable_rps, achieved_rps): serving
-		// more requests per second under the same SLO is the good
-		// direction. Listed before the generic suffix rules so a future
-		// *_seconds-style collision cannot flip it.
-		return false
-	case strings.HasSuffix(metric, "error_rate"):
 		return true
 	case strings.HasSuffix(metric, "_bytes") || strings.HasSuffix(metric, "_seconds"):
 		return true

@@ -2,8 +2,9 @@ package experiments
 
 import "testing"
 
-// TestFullScaleFigure5Shapes asserts the paper's §5 proxy trends at
-// paper scale; guarded by -short.
+// TestFullScaleFigure5Shapes logs the two panels of the proxy
+// experiment at paper scale and asserts the paper's §5 proxy trends;
+// guarded by -short.
 func TestFullScaleFigure5Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale proxy experiment skipped in -short mode")
@@ -16,6 +17,7 @@ func TestFullScaleFigure5Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Log("\n" + f.String())
 	first, last := 0, len(f.ClientCounts)-1
 
 	for _, m := range f.Models() {

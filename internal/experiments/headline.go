@@ -19,7 +19,6 @@ var (
 	_ Headliner = (*Baselines)(nil)
 	_ Headliner = (*Maintenance)(nil)
 	_ Headliner = (*MaintenanceCost)(nil)
-	_ Headliner = (*Capacity)(nil)
 )
 
 // Headline reports the largest training window's popular share and

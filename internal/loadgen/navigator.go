@@ -1,20 +1,11 @@
-// Package loadgen is an open-loop HTTP load generator for the
-// prefetching server: virtual clients walk the synthetic site with the
-// same statistical structure tracegen gives the offline traces
-// (popular session heads, primary-link continuations, hub returns),
-// follow the X-Prefetch hint protocol through server.Client, and fire
-// requests on a fixed arrival schedule regardless of completions — so
-// latency under load is measured from each request's scheduled arrival
-// time and never suffers coordinated omission.
-//
-// The package exists because the paper's claims are throughput-shaped:
-// "low storage" and "fast prediction" only matter at some request
-// rate. Generator.Run drives a scenario (steady rate, stepped sweep,
-// flash-crowd burst, diurnal cycle) and reports per-slot open-loop
-// latency quantiles, error rates, schedule lag, and the server's own
-// /debug/slo verdicts; Generator.FindMax binary-searches for the
-// highest steady rate the server sustains under an SLO gate — the
-// max-sustainable-RPS headline metric.
+// Package loadgen holds the synthetic-site pieces that drive traffic
+// at a live prefetching server: a Navigator, whose virtual clients walk
+// the site with the same statistical structure tracegen gives the
+// offline traces (popular session heads, primary-link continuations,
+// hub returns), and StoreFromSite, which builds the documents that
+// site serves. The benchmark (perfbench) walks its clients with the
+// Navigator and serves StoreFromSite's store; cmd/prefetchd serves the
+// same store.
 package loadgen
 
 import (
@@ -157,7 +148,7 @@ func (n *Navigator) URL(page int) string { return n.site.Pages[page].URL }
 func (n *Navigator) Pages() int { return len(n.site.Pages) }
 
 // StoreFromSite materializes synthetic bodies for every page and image
-// of a site — the content a capacity run serves.
+// of a site.
 func StoreFromSite(site *tracegen.Site) server.MapStore {
 	store := server.MapStore{}
 	for _, pg := range site.Pages {

@@ -33,8 +33,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeSample(bw, f.name, e.labels, "", strconv.FormatInt(m.Value(), 10))
 			case *Gauge:
 				writeSample(bw, f.name, e.labels, "", strconv.FormatInt(m.Value(), 10))
-			case *FloatGauge:
-				writeSample(bw, f.name, e.labels, "", formatSeconds(m.Value()))
 			case *funcMetric:
 				writeSample(bw, f.name, e.labels, "", formatSeconds(m.fn()))
 			case *Histogram:

@@ -126,76 +126,3 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	}
 	return QuantileOverCounts(h.bounds, counts, q)
 }
-
-// HistogramSnapshot is an immutable copy of a histogram's state at one
-// instant. Snapshots subtract (Sub), so a cumulative histogram yields
-// slot-aligned views: snapshot at every slot boundary, diff against the
-// previous boundary, and read the slot's own quantiles — the per-slot
-// p50/p99/p999 reporting an RPS sweep needs, without resetting the
-// histogram under concurrent writers.
-type HistogramSnapshot struct {
-	// Bounds aliases the histogram's immutable bucket bounds.
-	Bounds []time.Duration
-	// Counts has len(Bounds)+1 entries, the last being overflow.
-	Counts []int64
-	// SumNanos is the summed observed duration in nanoseconds.
-	SumNanos int64
-}
-
-// Snapshot copies the histogram's current counts. Concurrent Observe
-// calls may land between bucket reads; each observation is still seen
-// exactly once across consecutive snapshots, which is what slot diffs
-// need.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Bounds: h.bounds,
-		Counts: make([]int64, len(h.buckets)),
-	}
-	for i := range h.buckets {
-		s.Counts[i] = h.buckets[i].Load()
-	}
-	s.SumNanos = h.sumNanos.Load()
-	return s
-}
-
-// Sub returns the observations recorded between prev and s (s must be
-// the later snapshot of the same histogram; a nil-bounds prev acts as
-// an empty baseline, so the first slot diffs against zero).
-func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
-	out := HistogramSnapshot{
-		Bounds:   s.Bounds,
-		Counts:   make([]int64, len(s.Counts)),
-		SumNanos: s.SumNanos - prev.SumNanos,
-	}
-	copy(out.Counts, s.Counts)
-	for i := range prev.Counts {
-		if i < len(out.Counts) {
-			out.Counts[i] -= prev.Counts[i]
-		}
-	}
-	return out
-}
-
-// Count returns the number of observations in the snapshot.
-func (s HistogramSnapshot) Count() int64 {
-	var total int64
-	for _, n := range s.Counts {
-		total += n
-	}
-	return total
-}
-
-// Mean returns the mean observed duration, zero with no observations.
-func (s HistogramSnapshot) Mean() time.Duration {
-	n := s.Count()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(s.SumNanos / n)
-}
-
-// Quantile returns an upper bound for the q-quantile of the snapshot's
-// observations; see QuantileOverCounts for the edge cases.
-func (s HistogramSnapshot) Quantile(q float64) time.Duration {
-	return QuantileOverCounts(s.Bounds, s.Counts, q)
-}

@@ -89,49 +89,3 @@ func TestNewHistogramPanicsOnUnsortedBounds(t *testing.T) {
 	}()
 	NewHistogram([]time.Duration{time.Second, time.Millisecond})
 }
-
-// TestHistogramSnapshotSlotDiffs exercises the slot-aligned snapshot
-// path an RPS sweep uses: one cumulative histogram, a snapshot at each
-// slot boundary, and per-slot quantiles from the diffs.
-func TestHistogramSnapshotSlotDiffs(t *testing.T) {
-	h := NewHistogram(nil)
-
-	// Slot 1: fast traffic.
-	for i := 0; i < 100; i++ {
-		h.Observe(2 * time.Millisecond)
-	}
-	s1 := h.Snapshot()
-	slot1 := s1.Sub(HistogramSnapshot{})
-	if got := slot1.Count(); got != 100 {
-		t.Fatalf("slot 1 count = %d, want 100", got)
-	}
-	if got := slot1.Quantile(0.99); got != 2*time.Millisecond {
-		t.Fatalf("slot 1 p99 = %v, want 2ms", got)
-	}
-	if got := slot1.Mean(); got != 2*time.Millisecond {
-		t.Fatalf("slot 1 mean = %v, want 2ms", got)
-	}
-
-	// Slot 2: slow traffic. The diff must see only the new observations,
-	// not the cumulative mixture.
-	for i := 0; i < 50; i++ {
-		h.Observe(time.Second)
-	}
-	s2 := h.Snapshot()
-	slot2 := s2.Sub(s1)
-	if got := slot2.Count(); got != 50 {
-		t.Fatalf("slot 2 count = %d, want 50", got)
-	}
-	if got := slot2.Quantile(0.5); got != time.Second {
-		t.Fatalf("slot 2 p50 = %v, want 1s (cumulative leaked into the diff)", got)
-	}
-	if got := s2.Sub(HistogramSnapshot{}).Count(); got != 150 {
-		t.Fatalf("cumulative count = %d, want 150", got)
-	}
-
-	// An empty slot quantile is 0, not the previous slot's value.
-	s3 := h.Snapshot()
-	if got := s3.Sub(s2).Quantile(0.99); got != 0 {
-		t.Fatalf("empty slot p99 = %v, want 0", got)
-	}
-}

@@ -29,7 +29,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -75,19 +74,6 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// FloatGauge is a gauge holding a float64, for quantities that are
-// genuinely fractional — ratios, rates, quantiles in seconds. Set and
-// Value are single atomic operations on the float's bit pattern.
-type FloatGauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores the current value.
-func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // funcMetric is a metric whose value is computed by a callback at
 // render time — the exposition's view of derived quantities (rolling
@@ -223,20 +209,6 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 		return &Gauge{}
 	}
 	return r.register(name, help, kindGauge, labels, func() any { return &Gauge{} }).(*Gauge)
-}
-
-// FloatGauge registers (or finds) a float gauge. Safe on a nil
-// registry.
-func (r *Registry) FloatGauge(name, help string, labels ...Label) *FloatGauge {
-	if r == nil {
-		return &FloatGauge{}
-	}
-	m := r.register(name, help, kindGauge, labels, func() any { return &FloatGauge{} })
-	fg, ok := m.(*FloatGauge)
-	if !ok {
-		panic(fmt.Sprintf("obs: metric %s already registered with a different gauge value type", name))
-	}
-	return fg
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at render

@@ -42,10 +42,8 @@ func TestRegisterBuildInfoAndRuntimeMetrics(t *testing.T) {
 	RegisterRuntimeMetrics(nil)
 }
 
-func TestFloatGaugeAndFuncMetrics(t *testing.T) {
+func TestFuncMetrics(t *testing.T) {
 	reg := NewRegistry()
-	fg := reg.FloatGauge("app_ratio", "A fractional gauge.")
-	fg.Set(0.625)
 	reg.GaugeFunc("app_derived", "A derived gauge.", func() float64 { return 2.5 })
 	reg.CounterFunc("app_events_total", "A derived counter.", func() float64 { return 42 })
 
@@ -58,7 +56,6 @@ func TestFloatGaugeAndFuncMetrics(t *testing.T) {
 		t.Fatalf("exposition invalid: %v\n%s", err, text)
 	}
 	for _, want := range []string{
-		"app_ratio 0.625\n",
 		"app_derived 2.5\n",
 		"app_events_total 42\n",
 	} {
@@ -68,7 +65,6 @@ func TestFloatGaugeAndFuncMetrics(t *testing.T) {
 	}
 	// Nil registry constructors stay safe.
 	var nilReg *Registry
-	nilReg.FloatGauge("x", "h").Set(1)
 	nilReg.GaugeFunc("x", "h", func() float64 { return 0 })
 	nilReg.CounterFunc("x_total", "h", func() float64 { return 0 })
 }
